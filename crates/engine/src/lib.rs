@@ -791,7 +791,7 @@ impl Engine {
         ));
         out.push(Metric {
             name: "lambekd_certifier_verdict_lookups_total".to_string(),
-            help: "Certifier derivative-cache lookups, by result (process-wide)".to_string(),
+            help: "Certifier lexeme re-matches: hit ran on memoized derivative transitions only, miss derived a new one (process-wide)".to_string(),
             samples: vec![
                 Sample {
                     labels: vec![("result".to_string(), "hit".to_string())],

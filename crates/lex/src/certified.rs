@@ -25,20 +25,22 @@
 //! obligation per token at its munch boundary, so [`CertifiedLexer::lex`]
 //! and the streaming pipelines certify in O(lexeme) amortized work per
 //! token instead of re-walking the whole stream at the end. The
-//! re-match runs on [`LazyDerivMatcher`]s — the same derivatives,
-//! memoized — and verdicts are cached per `(rule, lexeme)`.
-//! [`CertifiedLexer::lex_full`] keeps the original whole-stream
-//! re-validation as the slow differential reference.
+//! re-match steps one [`LazyDerivMatcher`] per rule — the same
+//! derivatives, memoized as a table of derivative states shared across
+//! lexemes — straight over the lexeme's characters, so no lexeme text
+//! is copied or retained. [`CertifiedLexer::lex_full`] keeps the
+//! original whole-stream re-validation as the slow differential
+//! reference.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use regex_grammars::derivative::matches;
 use regex_grammars::lazy::LazyDerivMatcher;
 
 use crate::compile::LexAutomaton;
 use crate::driver::{LexError, RawLexeme, Token, TokenStream};
-use crate::fnv::FnvMap;
+use crate::probes::CertTally;
 use crate::spec::LexSpec;
 
 /// The outcome of a certified lex.
@@ -116,12 +118,6 @@ pub struct CertifiedLexer {
     /// certifier this lexer hands out — the lazily discovered
     /// derivative states persist across inputs.
     matchers: Arc<Vec<LazyDerivMatcher>>,
-    /// Shared membership verdicts, one map per rule keyed by lexeme
-    /// text. A lexeme's membership in a rule's regex is deterministic,
-    /// so verdicts persist across inputs (the same reasoning that lets
-    /// the derivative states persist) — in steady state a repeated
-    /// lexeme certifies with a single hash lookup.
-    verdicts: Arc<Vec<Mutex<FnvMap<String, bool>>>>,
 }
 
 impl CertifiedLexer {
@@ -140,16 +136,9 @@ impl CertifiedLexer {
             .iter()
             .map(|r| LazyDerivMatcher::new(r.regex.clone(), sigma_len))
             .collect();
-        let verdicts = auto
-            .spec()
-            .rules()
-            .iter()
-            .map(|_| Mutex::new(FnvMap::default()))
-            .collect();
         CertifiedLexer {
             auto,
             matchers: Arc::new(matchers),
-            verdicts: Arc::new(verdicts),
         }
     }
 
@@ -218,7 +207,7 @@ impl CertifiedLexer {
             matchers: self.matchers.clone(),
             cursor: 0,
             index: 0,
-            verdicts: self.verdicts.clone(),
+            tally: CertTally::default(),
         }
     }
 
@@ -308,9 +297,9 @@ impl CertifiedLexer {
 /// literally the input bytes its span points at; [`LexCertifier::finish`]
 /// closes the invariant by demanding the cursor reached the end of the
 /// input. Membership re-matches each lexeme against its rule's regex on
-/// a memoized derivative matcher, with verdicts cached per
-/// `(rule, lexeme)` so repeated lexemes (operators, short numerals)
-/// certify in O(1).
+/// the lexer's shared memoized derivative matcher: once a rule's
+/// derivative table has settled, a lexeme certifies in one table lookup
+/// per character, and nothing about the lexeme is kept afterwards.
 #[derive(Debug, Clone)]
 pub struct LexCertifier {
     auto: LexAutomaton,
@@ -319,12 +308,8 @@ pub struct LexCertifier {
     cursor: usize,
     /// How many tokens have been checked (for error messages).
     index: usize,
-    /// The lexer-wide verdict cache: one map per rule keyed by lexeme
-    /// text — split per rule so lookups borrow `&str` with no
-    /// allocation. Shared across certifiers (membership is
-    /// deterministic), so in steady state a token certifies with one
-    /// uncontended lock and one hash lookup.
-    verdicts: Arc<Vec<Mutex<FnvMap<String, bool>>>>,
+    /// Re-match counts for the process-wide probes, flushed on drop.
+    tally: CertTally,
 }
 
 impl LexCertifier {
@@ -398,11 +383,10 @@ impl LexCertifier {
 
     /// The membership half shared by [`LexCertifier::check`] and
     /// [`LexCertifier::check_raw`]: rule/symbol bookkeeping plus the
-    /// independent derivative re-match, memoized per `(rule, text)`.
-    /// The cache probe borrows `text` — a miss is the only path that
-    /// allocates (to own the cache key).
+    /// independent derivative re-match, stepped straight over `text`'s
+    /// characters with no allocation.
     fn check_membership(
-        &self,
+        &mut self,
         i: usize,
         rule_idx: usize,
         sym: Option<lambek_core::alphabet::Symbol>,
@@ -419,35 +403,17 @@ impl LexCertifier {
                 rule.name
             ));
         }
-        let cached = {
-            let verdicts = self.verdicts[rule_idx]
-                .lock()
-                .expect("verdict cache poisoned");
-            verdicts.get(text).copied()
-        };
-        {
-            use std::sync::atomic::Ordering;
-            let probe = if cached.is_some() {
-                &crate::probes::VERDICT_HITS
-            } else {
-                &crate::probes::VERDICT_MISSES
-            };
-            probe.fetch_add(1, Ordering::Relaxed);
-        }
-        let ok = cached.unwrap_or_else(|| {
-            // Compute outside the lock: the matcher memoizes its own
-            // derivative states behind its own lock.
-            let ok = spec
-                .alphabet()
-                .parse_str(text)
-                .is_some_and(|w| self.matchers[rule_idx].matches(&w));
-            self.verdicts[rule_idx]
-                .lock()
-                .expect("verdict cache poisoned")
-                .insert(text.to_owned(), ok);
-            ok
-        });
-        if !ok {
+        // A character outside the alphabet ends the walk and fails the
+        // match.
+        let sigma = spec.alphabet();
+        let mut foreign = false;
+        let run = self.matchers[rule_idx].run(text.chars().map_while(|c| {
+            let s = sigma.symbol_of_char(c);
+            foreign |= s.is_none();
+            s
+        }));
+        self.tally.rematch(run.derived);
+        if foreign || !run.matched {
             return err(format!(
                 "token {i} lexeme {text:?} is not in rule {:?} (derivative re-match failed)",
                 rule.name
@@ -490,8 +456,9 @@ impl LexCertifier {
 mod tests {
     use super::*;
     use crate::driver::Span;
-    use crate::spec::LexSpecBuilder;
+    use crate::spec::{class, plus, LexSpecBuilder};
     use lambek_core::alphabet::Alphabet;
+    use regex_grammars::ast::Regex;
 
     fn lexer() -> CertifiedLexer {
         let sigma = Alphabet::from_chars("ab ");
@@ -580,6 +547,194 @@ mod tests {
         let mut bad = good;
         bad[0].sym = None;
         assert!(lexer.certify("ab", &bad).is_err());
+    }
+
+    #[test]
+    fn incremental_membership_refuses_characters_outside_the_alphabet() {
+        let lexer = lexer();
+        // "a" matches rule A, so a walk that stopped at `X` without
+        // failing would wrongly accept "aX".
+        let input = "aX";
+        let raw = RawLexeme {
+            rule: 0,
+            span: Span { start: 0, end: 2 },
+            sym: lexer.spec().token_symbol(0),
+        };
+        let err = lexer.certifier().check_raw(input, &raw).unwrap_err();
+        assert!(err.message.contains("derivative"), "{err}");
+        let err = lexer
+            .certifier()
+            .check(input, &raw.to_token(input))
+            .unwrap_err();
+        assert!(err.message.contains("derivative"), "{err}");
+    }
+
+    /// Letters, digits, `+` and space: numerals, identifiers, plus and
+    /// skipped whitespace — a vocabulary where nearly every lexeme of a
+    /// generated text is distinct.
+    fn idents_and_numerals() -> CertifiedLexer {
+        let sigma = Alphabet::from_chars("abcdefghijklmnopqrstuvwxyz0123456789+ ");
+        let letter = class(&sigma, "abcdefghijklmnopqrstuvwxyz");
+        let digit = class(&sigma, "0123456789");
+        let ident = Regex::concat(
+            letter.clone(),
+            Regex::star(Regex::alt(letter, digit.clone())),
+        );
+        CertifiedLexer::compile(
+            LexSpecBuilder::new(sigma.clone())
+                .token_re("NUM", plus(digit))
+                .unwrap()
+                .token_re("ID", ident)
+                .unwrap()
+                .token("+", "+")
+                .unwrap()
+                .skip("WS", "  *")
+                .unwrap()
+                .build()
+                .unwrap(),
+        )
+    }
+
+    /// Sums the derivative states every rule's matcher has discovered.
+    fn derivative_states(lexer: &CertifiedLexer) -> usize {
+        lexer
+            .matchers
+            .iter()
+            .map(LazyDerivMatcher::num_states)
+            .sum()
+    }
+
+    /// `n`'s letters in bijective base 26, so distinct `n` give
+    /// distinct identifiers.
+    fn ident(mut n: u64) -> String {
+        let mut out = Vec::new();
+        loop {
+            out.push(b'a' + (n % 26) as u8);
+            n /= 26;
+            if n == 0 {
+                break;
+            }
+            n -= 1;
+        }
+        out.reverse();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// The re-match counts a certifier has not flushed yet.
+    fn tally(cert: &LexCertifier) -> (u64, u64) {
+        (cert.tally.hits, cert.tally.misses)
+    }
+
+    #[test]
+    fn rematches_count_hits_once_transitions_are_memoized() {
+        let lexer = lexer();
+        let input = "aab aa b";
+        let lexemes: Vec<_> = lexer.auto.raw_lexemes(input).map(Result::unwrap).collect();
+        let mut first = lexer.certifier();
+        for l in &lexemes {
+            first.check_raw(input, l).unwrap();
+        }
+        // A fresh matcher derives on its first lexemes…
+        assert!(tally(&first).1 > 0);
+        // …and a clone starts from zero, so nothing is flushed twice.
+        assert_eq!(tally(&first.clone()), (0, 0));
+        let mut second = lexer.certifier();
+        for l in &lexemes {
+            second.check_raw(input, l).unwrap();
+        }
+        // The same lexemes again run on memoized transitions only.
+        assert_eq!(tally(&second), (lexemes.len() as u64, 0));
+    }
+
+    #[test]
+    fn a_flood_of_distinct_lexemes_discovers_no_new_states_the_second_time() {
+        let lexer = idents_and_numerals();
+        // About 1 MiB of numerals and identifiers that never repeat,
+        // cut into 64 KiB documents.
+        let mut docs = Vec::new();
+        let mut doc = String::new();
+        let mut total = 0;
+        let mut n = 0u64;
+        while total < 1 << 20 {
+            let lexeme = if n.is_multiple_of(2) {
+                (n * 7919).to_string()
+            } else {
+                ident(n)
+            };
+            doc.push_str(&lexeme);
+            doc.push_str(if n.is_multiple_of(3) { "+" } else { " " });
+            n += 1;
+            if doc.len() >= 64 << 10 {
+                total += doc.len();
+                docs.push(std::mem::take(&mut doc));
+            }
+        }
+        let expected: Vec<_> = docs.iter().map(|d| lexer.lex_full(d).unwrap()).collect();
+        let mut settled = 0;
+        for round in 0..2 {
+            for (d, want) in docs.iter().zip(&expected) {
+                let mut cert = lexer.certifier();
+                let mut tokens = Vec::new();
+                for t in lexer.auto.lexemes(d) {
+                    let t = t.unwrap();
+                    cert.check(d, &t).unwrap();
+                    tokens.push(t);
+                }
+                cert.finish(d).unwrap();
+                let got = LexedOutcome::Tokens(TokenStream::from_tokens(tokens));
+                assert_eq!(&got, want);
+                if round == 1 {
+                    assert_eq!(tally(&cert).1, 0, "round two derives nothing");
+                }
+            }
+            if round == 0 {
+                settled = derivative_states(&lexer);
+            }
+        }
+        // The memo is the derivative table alone: bounded by the
+        // rules, not by how many distinct lexemes went through.
+        assert_eq!(derivative_states(&lexer), settled);
+        assert!(settled <= 16, "derivative tables stay small: {settled}");
+    }
+
+    #[test]
+    fn concurrent_certifiers_on_a_fresh_lexer_agree_with_the_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const THREADS: u64 = 4;
+        let lexer = idents_and_numerals();
+        let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789+  ";
+        let corpora: Vec<Vec<String>> = (0..THREADS)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(0x5eed + t);
+                (0..64)
+                    .map(|_| {
+                        let len = rng.gen_range(0..2048usize);
+                        let mut doc: String = (0..len)
+                            .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
+                            .collect();
+                        // Some documents carry a byte no rule lexes.
+                        if rng.gen_bool(0.1) {
+                            doc.insert(rng.gen_range(0..=doc.len()), '!');
+                        }
+                        doc
+                    })
+                    .collect()
+            })
+            .collect();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for corpus in &corpora {
+                let (lexer, start) = (&lexer, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for doc in corpus {
+                        assert_eq!(lexer.lex(doc).unwrap(), lexer.lex_full(doc).unwrap());
+                    }
+                });
+            }
+        });
     }
 
     #[test]

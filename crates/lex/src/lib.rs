@@ -55,7 +55,6 @@ pub mod certified;
 pub mod compile;
 pub mod demo;
 pub mod driver;
-mod fnv;
 pub mod parallel;
 pub mod probes;
 pub mod spec;

@@ -11,8 +11,9 @@
 //! `ScanTally`) and flush it to
 //! the statics once per driver call (or iterator drop), so the probe
 //! cost is a handful of `fetch_add`s per *lex run*, not per byte or per
-//! token. The certifier's verdict-cache probe is one `fetch_add` per
-//! token — noise next to the hash lookup it annotates.
+//! token. The certifier does the same with its re-match counts: the
+//! crate-private `CertTally` inside each `LexCertifier` flushes them
+//! once, when the certifier is dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,10 +42,12 @@ pub struct LexProbes {
     /// Maximal-munch backtracks: scans (or push-mode munches) that
     /// consumed lookahead past the token boundary they settled on.
     pub backtracks: u64,
-    /// Certifier derivative-verdict cache hits.
+    /// Certifier re-matches that ran only on memoized derivative
+    /// transitions. (The name predates the derivative-only certifier
+    /// and is kept for the benchmark and exporters that read it.)
     pub verdict_cache_hits: u64,
-    /// Certifier derivative-verdict cache misses (full derivative
-    /// re-match computed).
+    /// Certifier re-matches that derived at least one new derivative
+    /// transition.
     pub verdict_cache_misses: u64,
 }
 
@@ -120,6 +123,45 @@ impl Drop for ScanTally {
         }
         if self.backtracks > 0 {
             BACKTRACKS.fetch_add(self.backtracks, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The certifier's re-match counts, flushed to the global statics
+/// when dropped. A clone starts from zero, so a cloned certifier never
+/// publishes its parent's counts a second time.
+#[derive(Debug, Default)]
+pub(crate) struct CertTally {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl CertTally {
+    /// Accounts one re-match; `derived` says whether it computed a new
+    /// derivative transition.
+    #[inline]
+    pub(crate) fn rematch(&mut self, derived: bool) {
+        if derived {
+            self.misses += 1;
+        } else {
+            self.hits += 1;
+        }
+    }
+}
+
+impl Clone for CertTally {
+    fn clone(&self) -> CertTally {
+        CertTally::default()
+    }
+}
+
+impl Drop for CertTally {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            VERDICT_HITS.fetch_add(self.hits, Ordering::Relaxed);
+        }
+        if self.misses > 0 {
+            VERDICT_MISSES.fetch_add(self.misses, Ordering::Relaxed);
         }
     }
 }

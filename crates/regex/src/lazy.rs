@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use lambek_core::alphabet::{GString, Symbol};
+use lambek_core::alphabet::Symbol;
 
 use crate::ast::Regex;
 use crate::derivative::derivative;
@@ -27,7 +27,7 @@ const UNKNOWN: u32 = u32::MAX;
 ///
 /// Interior mutability (a mutex around the state table) makes the
 /// matcher `Send + Sync`, so it can sit inside shared compiled
-/// artifacts; the lock is held only for the duration of one `matches`
+/// artifacts; the lock is held only for the duration of one `run`
 /// call.
 #[derive(Debug)]
 pub struct LazyDerivMatcher {
@@ -62,12 +62,16 @@ impl LazyStates {
         id
     }
 
-    fn step(&mut self, state: u32, sym: Symbol, alphabet_len: usize) -> u32 {
+    /// One transition out of `state` on `sym`, memoized. Sets
+    /// `*derived` when the transition was not in the table yet and had
+    /// to be computed by taking a derivative.
+    fn step(&mut self, state: u32, sym: Symbol, alphabet_len: usize, derived: &mut bool) -> u32 {
         let idx = sym.index();
         if idx >= alphabet_len {
             // A symbol outside the alphabet the table was sized for:
             // still answered honestly via a fresh derivative, just not
             // memoized (it cannot recur for well-formed inputs).
+            *derived = true;
             let d = derivative(&self.regexes[state as usize], sym);
             return self.intern(d, alphabet_len);
         }
@@ -76,11 +80,22 @@ impl LazyStates {
         if cached != UNKNOWN {
             return cached;
         }
+        *derived = true;
         let d = derivative(&self.regexes[state as usize], sym);
         let next = self.intern(d, alphabet_len);
-        self.delta[state as usize * alphabet_len + idx] = next;
+        self.delta[slot] = next;
         next
     }
+}
+
+/// The outcome of one [`LazyDerivMatcher::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatchRun {
+    /// Whether the regex matches the word.
+    pub matched: bool,
+    /// Whether the run computed at least one transition that was not
+    /// memoized yet (`false`: it ran on the table alone).
+    pub derived: bool,
 }
 
 impl LazyDerivMatcher {
@@ -100,14 +115,21 @@ impl LazyDerivMatcher {
         }
     }
 
-    /// Whether the regex matches `w`, by memoized derivative stepping.
-    pub fn matches(&self, w: &GString) -> bool {
+    /// Whether the regex matches `word`, by memoized derivative
+    /// stepping under one lock acquisition, plus whether any transition
+    /// had to be derived. Taking an iterator lets callers match text
+    /// without first materializing a `GString`.
+    pub fn run(&self, word: impl IntoIterator<Item = Symbol>) -> MatchRun {
         let mut inner = self.inner.lock().expect("matcher lock");
+        let mut derived = false;
         let mut state = 0u32;
-        for sym in w.iter() {
-            state = inner.step(state, sym, self.alphabet_len);
+        for sym in word {
+            state = inner.step(state, sym, self.alphabet_len, &mut derived);
         }
-        inner.nullable[state as usize]
+        MatchRun {
+            matched: inner.nullable[state as usize],
+            derived,
+        }
     }
 
     /// How many distinct derivative states have been discovered so far.
@@ -133,7 +155,11 @@ mod tests {
             let re = parse_regex(&s, src).unwrap();
             let fast = LazyDerivMatcher::new(re.clone(), s.len());
             for w in all_strings(&s, 5) {
-                assert_eq!(fast.matches(&w), slow_matches(&re, &w), "{src} on {w}");
+                assert_eq!(
+                    fast.run(w.iter()).matched,
+                    slow_matches(&re, &w),
+                    "{src} on {w}"
+                );
             }
         }
     }
@@ -144,16 +170,33 @@ mod tests {
         let re = parse_regex(&s, "(a|b)*c").unwrap();
         let fast = LazyDerivMatcher::new(re, s.len());
         for w in all_strings(&s, 6) {
-            fast.matches(&w);
+            fast.run(w.iter());
         }
         let settled = fast.num_states();
         for w in all_strings(&s, 6) {
-            fast.matches(&w);
+            fast.run(w.iter());
         }
         // A second sweep discovers nothing new: every transition hits
         // the memo table.
         assert_eq!(fast.num_states(), settled);
         assert!(settled <= 8, "derivative DFA stays small: {settled}");
+    }
+
+    #[test]
+    fn runs_report_whether_they_derived() {
+        let s = Alphabet::abc();
+        let re = parse_regex(&s, "a(b|c)*").unwrap();
+        let fast = LazyDerivMatcher::new(re, s.len());
+        let abc = s.parse_str("abc").unwrap();
+        let first = fast.run(abc.iter());
+        assert!(first.matched && first.derived);
+        let again = fast.run(abc.iter());
+        assert!(again.matched && !again.derived);
+        // A prefix walks transitions already in the table.
+        let a = fast.run(s.parse_str("a").unwrap().iter());
+        assert!(a.matched && !a.derived);
+        let ca = fast.run(s.parse_str("ca").unwrap().iter());
+        assert!(!ca.matched && ca.derived);
     }
 
     #[test]
