@@ -20,7 +20,7 @@
 //! [`SessionError::Corrupt`]), and the decoded state is then re-validated
 //! against the actual compiled pipeline — LR stack transitions against
 //! the ACTION/GOTO tables, parked parse trees against the grammar and
-//! their yield windows, lexer state by replaying the unresolved suffix,
+//! their yield windows, lexer state by rescanning the unresolved suffix,
 //! tokens by a fresh incremental certifier. A bogus blob can be
 //! *rejected* ([`SessionError::Invalid`]); it can never produce a
 //! mis-certified stream.

@@ -542,7 +542,7 @@ impl StreamParser {
     /// re-validated piece by piece — DFA input replayed through the
     /// automaton, LR stacks checked transition-by-transition against
     /// the tables with every parked tree re-certified against its claim
-    /// and yield window, lexer state re-derived by replaying the
+    /// and yield window, lexer state re-derived by rescanning the
     /// unresolved suffix, and every token re-certified by a fresh
     /// incremental certifier (span tiling + derivative re-match). A
     /// blob that lies is rejected with a structured error; it cannot
@@ -662,7 +662,7 @@ impl StreamParser {
                         )));
                     }
                     // A dead stream may have delivered fewer tokens
-                    // than it cut (a failed drain discards the cut),
+                    // than it cut (a failing push discards its cuts),
                     // but never any reaching past the error offset.
                     Some((at, _)) if cert.cursor() > at => {
                         return Err(invalid(format!(

@@ -1,20 +1,19 @@
 //! The maximal-munch driver: one left-to-right pass with last-accept
 //! backtracking, in one-shot and push-mode forms.
 //!
-//! Both drivers run the same loop over the tagged DFA: step per
-//! character, remember the most recent tagged (accepting) state as the
-//! *last accept*, and when the automaton goes dead — a non-co-reachable
-//! state, or a character outside the alphabet — cut the token at the
-//! last accept, re-feed the overrun characters, and continue from a
-//! fresh automaton. The rule priority baked into the tags at
-//! determinization time breaks ties between rules accepting the same
-//! longest match. A dead automaton with *no* recorded accept is a
-//! [`LexError`] carrying the byte offset where the doomed token began.
+//! Every driver runs the same step (`munch`) over the tagged DFA:
+//! step per character, remember the most recent tagged (accepting)
+//! state as the *last accept*, and when the automaton goes dead — a
+//! non-co-reachable state, or a character outside the alphabet — cut
+//! the token at the last accept, rescan from the retained input at the
+//! cut, and continue from a fresh automaton. The rule priority baked
+//! into the tags at determinization time breaks ties between rules
+//! accepting the same longest match. A dead automaton with *no*
+//! recorded accept is a [`LexError`] carrying the byte offset where the
+//! doomed token began.
 
-use std::collections::VecDeque;
 use std::fmt;
 
-use lambek_automata::nfa::StateId;
 use lambek_core::alphabet::{GString, Symbol};
 
 use crate::compile::{LexAutomaton, LexCore};
@@ -199,28 +198,61 @@ pub(crate) enum ScanStop {
     /// state. The character was *not* consumed.
     Dead(usize),
     /// The input ran out while the automaton was still live — the munch
-    /// is unresolved (push-mode callers keep it pending; one-shot
-    /// callers cut at the last accept).
+    /// is unresolved (push-mode callers keep it open; one-shot callers
+    /// cut at the last accept).
     EndOfInput,
 }
 
 /// The result of one maximal-munch scan: the most recent accept seen
-/// (`(rule, end byte)`), and why the scan stopped.
+/// (`(rule, end byte)`), why the scan stopped, and the state it
+/// stopped in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Scan {
     pub(crate) last: Option<(usize, usize)>,
     pub(crate) stop: ScanStop,
-    /// Whether the scan dropped to the char-level non-ASCII fallback at
-    /// least once (feeds the fast-lane/fallback probes; no semantic
+    /// Whether the munch dropped to the char-level non-ASCII fallback
+    /// at least once (feeds the fast-lane/fallback probes; no semantic
     /// meaning).
+    pub(crate) fell_back: bool,
+    /// The last live DFA state: after the final consumed character, so
+    /// a scan that ran out of input resumes from it.
+    pub(crate) state: u32,
+}
+
+/// A munch in progress — everything a scan needs to continue it, and
+/// nothing more, so it is `Copy`: probes
+/// ([`LexStream::pending_flush`]) resolve a copy of it against the
+/// retained input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScanFrom {
+    /// Byte offset where the token began.
+    pub(crate) start: usize,
+    /// DFA state after reading `start..pos`.
+    pub(crate) state: u32,
+    /// Byte offset of the next unread byte.
+    pub(crate) pos: usize,
+    /// The last accept inside `start..pos`: `(rule, end byte)`.
+    pub(crate) last: Option<(usize, usize)>,
+    /// As [`Scan::fell_back`], for the bytes read so far.
     pub(crate) fell_back: bool,
 }
 
-/// One maximal-munch scan from byte offset `start`: steps the
-/// byte-sliced tables until the automaton dies or the input ends,
-/// tracking the last accept. This is THE hot loop — everything else
-/// (one-shot lexing, the push stream's bulk path, parallel chunk
-/// workers, the fused lex→LR feed) is a driver around it.
+impl ScanFrom {
+    /// A fresh munch: a token starting at `start`, nothing read yet.
+    pub(crate) fn new(core: &LexCore, start: usize) -> ScanFrom {
+        ScanFrom {
+            start,
+            state: core.bytes.init,
+            pos: start,
+            last: None,
+            fell_back: false,
+        }
+    }
+}
+
+/// Continues the munch `from` over the byte-sliced tables until the
+/// automaton dies or the input ends, tracking the last accept. This is
+/// THE hot loop, and [`munch`] is its only caller.
 ///
 /// The fast lane dispatches 8 bytes per lap entirely inside the flat
 /// `[state × class]` table (one `u64` load decides the whole lap is
@@ -230,7 +262,7 @@ pub(crate) struct Scan {
 /// re-enter the fast lane on the next lap. UTF-8 boundaries therefore
 /// only ever matter at the bytes the slow lane actually decodes; spans
 /// land on char boundaries by construction.
-pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
+fn scan_token(core: &LexCore, input: &str, from: ScanFrom) -> Scan {
     let bt = &core.bytes;
     let tab = &bt.next[..];
     let acc = &bt.accept[..];
@@ -239,10 +271,10 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
     let dead = bt.dead;
     let bytes = input.as_bytes();
     let n = bytes.len();
-    let mut state = bt.init;
-    let mut last: Option<(usize, usize)> = None;
-    let mut fell_back = false;
-    let mut i = start;
+    let mut state = from.state;
+    let mut last = from.last;
+    let mut fell_back = from.fell_back;
+    let mut i = from.pos;
     loop {
         // Fast lane: 8-byte unrolled ASCII dispatch. The `[u8; 8]` view
         // removes the per-byte bounds checks and lets the inner loop
@@ -260,6 +292,7 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
                         last,
                         stop: ScanStop::Dead(i + k),
                         fell_back,
+                        state,
                     };
                 }
                 state = next;
@@ -277,6 +310,7 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
                 last,
                 stop: ScanStop::EndOfInput,
                 fell_back,
+                state,
             };
         }
         let b = bytes[i];
@@ -287,6 +321,7 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
                     last,
                     stop: ScanStop::Dead(i),
                     fell_back,
+                    state,
                 };
             }
             state = next;
@@ -308,6 +343,7 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
                     last,
                     stop: ScanStop::Dead(i),
                     fell_back,
+                    state,
                 };
             };
             state = s as u32;
@@ -318,6 +354,85 @@ pub(crate) fn scan_token(core: &LexCore, input: &str, start: usize) -> Scan {
             last = Some(((a - 1) as usize, i));
         }
     }
+}
+
+/// One maximal-munch step, the body every lexer driver runs: continues
+/// the open munch `at` over `input` and resolves it.
+///
+/// * `Some(Ok(lexeme))` — the scan died (or, with `eof`, ran out of
+///   input) past a recorded accept: the token is cut there and `at`
+///   restarts at its end, so the next step rescans the overrun from
+///   `input`.
+/// * `Some(Err(e))` — it died with no accept: no rule matches at
+///   `at.start`. `at` keeps the doomed munch (`at.start == e.at`).
+/// * `None` — nothing to resolve: `at` is at the end of `input`, or,
+///   without `eof`, the munch is still live there and `at` now holds it.
+#[inline]
+pub(crate) fn munch(
+    core: &LexCore,
+    input: &str,
+    at: &mut ScanFrom,
+    eof: bool,
+    tally: &mut crate::probes::ScanTally,
+) -> Option<Result<RawLexeme, LexError>> {
+    if at.start >= input.len() {
+        return None;
+    }
+    let scan = scan_token(core, input, *at);
+    tally.scan(&scan, at.pos, input.len());
+    let stopped = ScanFrom {
+        start: at.start,
+        state: scan.state,
+        pos: match scan.stop {
+            ScanStop::Dead(d) => d,
+            ScanStop::EndOfInput => input.len(),
+        },
+        last: scan.last,
+        fell_back: scan.fell_back,
+    };
+    if scan.stop == ScanStop::EndOfInput && !eof {
+        *at = stopped;
+        return None;
+    }
+    let Some((rule, end)) = scan.last else {
+        *at = stopped;
+        let found = input[at.start..]
+            .chars()
+            .next()
+            .expect("a non-empty remainder has a first char");
+        return Some(Err(LexError {
+            at: at.start,
+            found,
+        }));
+    };
+    tally.settled(&scan, input.len());
+    let span = Span {
+        start: at.start,
+        end,
+    };
+    *at = ScanFrom::new(core, end);
+    Some(Ok(RawLexeme {
+        rule,
+        span,
+        sym: core.spec.token_symbol(rule),
+    }))
+}
+
+/// Runs [`munch`] until nothing resolves, materializing each lexeme
+/// into `out` — the push stream's loop (`eof` cuts the open munch as
+/// end of input).
+fn munch_tokens(
+    core: &LexCore,
+    input: &str,
+    at: &mut ScanFrom,
+    eof: bool,
+    tally: &mut crate::probes::ScanTally,
+    out: &mut Vec<Token>,
+) -> Result<(), LexError> {
+    while let Some(lexeme) = munch(core, input, at, eof, tally) {
+        out.push(lexeme?.to_token(input));
+    }
+    Ok(())
 }
 
 impl LexAutomaton {
@@ -365,7 +480,7 @@ impl LexAutomaton {
         RawLexemes {
             core: self.core(),
             input,
-            pos: 0,
+            at: ScanFrom::new(self.core(), 0),
             dead: false,
             tally: crate::probes::ScanTally::default(),
         }
@@ -409,51 +524,51 @@ impl LexAutomaton {
         // its Drop) once per lex run — every exit path, including the
         // sink's `?`, publishes without touching the scan loop.
         let mut tally = crate::probes::ScanTally::default();
-        let mut pos = 0usize;
-        while pos < input.len() {
-            let scan = scan_token(core, input, pos);
-            tally.scan(&scan, pos, input.len());
-            let Some((rule, end)) = scan.last else {
-                let found = input[pos..]
-                    .chars()
-                    .next()
-                    .expect("lexeme starts are char boundaries");
-                return Ok(Err(LexError { at: pos, found }));
-            };
-            tally.settled(&scan, input.len());
-            let lexeme = RawLexeme {
-                rule,
-                span: Span { start: pos, end },
-                sym: core.spec.token_symbol(rule),
-            };
-            sink.lexeme(input, lexeme)?;
-            pos = end;
+        let mut at = ScanFrom::new(core, 0);
+        while let Some(lexeme) = munch(core, input, &mut at, true, &mut tally) {
+            match lexeme {
+                Ok(lexeme) => sink.lexeme(input, lexeme)?,
+                Err(e) => return Ok(Err(e)),
+            }
         }
         Ok(Ok(()))
     }
 
     /// Opens a push-mode lexer stream over this automaton.
     pub fn stream(&self) -> LexStream {
+        self.stream_at(String::new(), 0, None, 0)
+    }
+
+    /// A stream that has retained `input`, with a fresh munch at
+    /// `start`.
+    fn stream_at(
+        &self,
+        input: String,
+        start: usize,
+        dead: Option<LexError>,
+        emitted: usize,
+    ) -> LexStream {
         LexStream {
             core: self.core().clone(),
-            munch: Munch::new(self.dfa().init()),
-            input: String::new(),
-            dead: None,
+            at: ScanFrom::new(self.core(), start),
+            input,
+            dead,
             sabotage: None,
-            emitted: 0,
+            emitted,
+            tally: crate::probes::ScanTally::default(),
         }
     }
 
     /// Re-injects extracted stream state (see
     /// [`LexStream::export_state`]). The blob is untrusted: the
     /// in-flight munch state is not taken from it but *re-derived* by
-    /// replaying the unresolved suffix (`input[resume_from..]`) through
-    /// this automaton — for an honest snapshot the replay resolves no
-    /// token boundary (by definition of `resume_from`), so a replay
+    /// rescanning the unresolved suffix (`input[resume_from..]`) through
+    /// this automaton — for an honest snapshot the rescan resolves no
+    /// token boundary (by definition of `resume_from`), so a rescan
     /// that emits a token or hits a lexical error exposes the blob as
-    /// inconsistent. Dead streams skip the replay: their munch state is
-    /// unreachable by construction (every later push just re-reports
-    /// the recorded error).
+    /// inconsistent. Dead streams skip the rescan: their munch stopped
+    /// at the doomed token's start, so `resume_from` must equal the
+    /// error offset, and every later push just re-reports the error.
     ///
     /// # Errors
     ///
@@ -461,51 +576,40 @@ impl LexAutomaton {
     /// no stream.
     pub fn resume_stream(&self, st: LexStreamState) -> Result<LexStream, LexResumeError> {
         let err = |reason: String| LexResumeError { reason };
-        if let Some((at, found)) = st.dead {
-            if at > st.input.len() {
-                return Err(err(format!(
-                    "lexical error at byte {at} beyond the {}-byte input",
-                    st.input.len()
-                )));
-            }
-            return Ok(LexStream {
-                core: self.core().clone(),
-                munch: Munch::new(self.dfa().init()),
-                input: st.input,
-                dead: Some(LexError { at, found }),
-                sabotage: None,
-                emitted: st.emitted,
-            });
-        }
         if st.resume_from > st.input.len() || !st.input.is_char_boundary(st.resume_from) {
             return Err(err(format!(
                 "resume offset {} is not a character boundary of the input",
                 st.resume_from
             )));
         }
-        let mut munch = Munch::new(self.dfa().init());
-        // The replayed munch lexes only the unresolved suffix, so its
-        // in-progress token starts at the resolved boundary — not at
-        // byte 0 (spans of tokens cut after resume hang off this).
-        munch.token_start = st.resume_from;
-        let mut stream = LexStream {
-            core: self.core().clone(),
-            munch,
-            input: st.input[..st.resume_from].to_owned(),
-            dead: None,
-            sabotage: None,
-            emitted: st.emitted,
-        };
-        let tail = st.input[st.resume_from..].to_owned();
-        match stream.push_str(&tail) {
-            Ok(replayed) if replayed.is_empty() => Ok(stream),
-            Ok(replayed) => Err(err(format!(
-                "replaying the unresolved suffix emitted {} token(s): the resume \
+        if let Some((at, found)) = st.dead {
+            if at != st.resume_from {
+                return Err(err(format!(
+                    "resume offset {} is not the lexical error offset {at} of a dead stream",
+                    st.resume_from
+                )));
+            }
+            let dead = Some(LexError { at, found });
+            return Ok(self.stream_at(st.input, at, dead, st.emitted));
+        }
+        let mut stream = self.stream_at(st.input, st.resume_from, None, st.emitted);
+        let mut replayed = Vec::new();
+        match munch_tokens(
+            &stream.core,
+            &stream.input,
+            &mut stream.at,
+            false,
+            &mut stream.tally,
+            &mut replayed,
+        ) {
+            Ok(()) if replayed.is_empty() => Ok(stream),
+            Ok(()) => Err(err(format!(
+                "rescanning the unresolved suffix emitted {} token(s): the resume \
                  offset was not the last resolved boundary",
                 replayed.len()
             ))),
             Err(e) => Err(err(format!(
-                "replaying the unresolved suffix hit a lexical error ({e}) on a \
+                "rescanning the unresolved suffix hit a lexical error ({e}) on a \
                  stream recorded as alive"
             ))),
         }
@@ -520,8 +624,8 @@ impl LexAutomaton {
 pub struct RawLexemes<'a> {
     core: &'a LexCore,
     input: &'a str,
-    /// Byte offset of the next token start.
-    pos: usize,
+    /// The next munch (its `start` is the next token start).
+    at: ScanFrom,
     dead: bool,
     /// Scan-probe accumulator, flushed to the process-wide probes when
     /// the iterator is dropped.
@@ -532,36 +636,12 @@ impl Iterator for RawLexemes<'_> {
     type Item = Result<RawLexeme, LexError>;
 
     fn next(&mut self) -> Option<Result<RawLexeme, LexError>> {
-        if self.dead || self.pos >= self.input.len() {
+        if self.dead {
             return None;
         }
-        let scan = scan_token(self.core, self.input, self.pos);
-        self.tally.scan(&scan, self.pos, self.input.len());
-        match scan.last {
-            None => {
-                self.dead = true;
-                Some(Err(LexError {
-                    at: self.pos,
-                    found: self.input[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("a non-empty remainder has a first char"),
-                }))
-            }
-            Some((rule, end)) => {
-                self.tally.settled(&scan, self.input.len());
-                let span = Span {
-                    start: self.pos,
-                    end,
-                };
-                self.pos = end;
-                Some(Ok(RawLexeme {
-                    rule,
-                    span,
-                    sym: self.core.spec.token_symbol(rule),
-                }))
-            }
-        }
+        let lexeme = munch(self.core, self.input, &mut self.at, true, &mut self.tally)?;
+        self.dead = lexeme.is_err();
+        Some(lexeme)
     }
 }
 
@@ -701,146 +781,24 @@ impl SabotageLex {
     }
 }
 
-/// The pure maximal-munch machine: the DFA state, the in-progress
-/// token's characters, and the last accept inside them. Everything a
-/// boundary resolution needs — and nothing more, so probes
-/// ([`LexStream::pending_flush`]) copy this small struct instead of
-/// the whole stream.
-#[derive(Debug, Clone)]
-struct Munch {
-    state: StateId,
-    /// Characters of the in-progress token.
-    buf: Vec<char>,
-    /// Total UTF-8 bytes of `buf`, kept incrementally (re-summing per
-    /// accepting step would be quadratic in the token length).
-    buf_bytes: usize,
-    /// Byte offset where the in-progress token starts.
-    token_start: usize,
-    /// Last accept inside `buf`: `(rule, chars, bytes)` of the accepted
-    /// prefix.
-    last: Option<(usize, usize, usize)>,
-}
-
-impl Munch {
-    fn new(init: StateId) -> Munch {
-        Munch {
-            state: init,
-            buf: Vec::new(),
-            buf_bytes: 0,
-            token_start: 0,
-            last: None,
-        }
-    }
-
-    /// Emits the last-accepted prefix of `buf` as a token, resets the
-    /// automaton, and returns the overrun characters for re-feeding.
-    fn cut_token(
-        &mut self,
-        core: &LexCore,
-        out: &mut Vec<Token>,
-    ) -> Result<VecDeque<char>, LexError> {
-        let Some((rule, nchars, nbytes)) = self.last.take() else {
-            return Err(LexError {
-                at: self.token_start,
-                found: self.buf[0],
-            });
-        };
-        if self.buf.len() > nchars {
-            // The munch overran the boundary it is now cutting at:
-            // a last-accept backtrack (the overrun chars get re-fed).
-            crate::probes::BACKTRACKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let text: String = self.buf[..nchars].iter().collect();
-        let leftovers: VecDeque<char> = self.buf[nchars..].iter().copied().collect();
-        out.push(Token {
-            rule,
-            text,
-            span: Span {
-                start: self.token_start,
-                end: self.token_start + nbytes,
-            },
-            sym: core.spec.token_symbol(rule),
-        });
-        self.token_start += nbytes;
-        self.buf.clear();
-        self.buf_bytes = 0;
-        self.state = core.dfa.init();
-        Ok(leftovers)
-    }
-
-    /// The shared stepping loop: consume queued characters, cutting
-    /// tokens (and re-queuing overrun) whenever the automaton dies.
-    fn drain(
-        &mut self,
-        core: &LexCore,
-        queue: &mut VecDeque<char>,
-        out: &mut Vec<Token>,
-    ) -> Result<(), LexError> {
-        while let Some(ch) = queue.pop_front() {
-            let next = core
-                .spec
-                .alphabet()
-                .symbol_of_char(ch)
-                .map(|sym| core.dfa.delta(self.state, sym))
-                .filter(|&s| core.live[s]);
-            match next {
-                Some(s) => {
-                    self.state = s;
-                    self.buf.push(ch);
-                    self.buf_bytes += ch.len_utf8();
-                    if let Some(rule) = core.dfa.accept_tag(s) {
-                        self.last = Some((rule, self.buf.len(), self.buf_bytes));
-                    }
-                }
-                None => {
-                    if self.buf.is_empty() {
-                        // The character itself is unmatchable at a
-                        // fresh token start.
-                        return Err(LexError {
-                            at: self.token_start,
-                            found: ch,
-                        });
-                    }
-                    let leftovers = self.cut_token(core, out)?;
-                    // Re-feed the overrun, then retry `ch`.
-                    queue.push_front(ch);
-                    for lc in leftovers.into_iter().rev() {
-                        queue.push_front(lc);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// End-of-input resolution: cut and re-feed until the buffer is
-    /// empty (every character accounted for) or nothing accepts.
-    fn flush(&mut self, core: &LexCore, out: &mut Vec<Token>) -> Result<(), LexError> {
-        while !self.buf.is_empty() {
-            let mut queue = self.cut_token(core, out)?;
-            self.drain(core, &mut queue, out)?;
-        }
-        Ok(())
-    }
-}
-
 /// A push-mode incremental lexer: characters in, tokens out as soon as
 /// their right boundary is certain.
 ///
-/// The *automaton* side buffers exactly the in-progress token — the
-/// suffix after the last resolved boundary — so the working state is
-/// bounded by the longest lexeme. (The stream additionally retains the
-/// full pushed text in [`LexStream::raw_input`], which is what the
-/// certification pass at the end of a certified pipeline re-checks the
-/// emitted tokens against.) A token is emitted the moment a character
-/// proves the automaton can no longer extend the match (maximal munch
-/// with last-accept backtracking: the overrun characters are re-fed
-/// through a fresh automaton). [`LexStream::finish`] flushes the
-/// pending token(s).
+/// The stream retains the full pushed text ([`LexStream::raw_input`],
+/// which the certification pass of a certified pipeline re-checks the
+/// emitted tokens against) plus one small open munch over its
+/// unresolved suffix: the token start, DFA state, read position and
+/// last accept. Each push appends the character and resumes the scan
+/// where it stopped; a token is emitted the moment a character proves
+/// the automaton can no longer extend the match (maximal munch with
+/// last-accept backtracking: the overrun is rescanned from the
+/// retained input at the cut). [`LexStream::finish`] cuts the pending
+/// token(s) as end of input.
 #[derive(Debug, Clone)]
 pub struct LexStream {
     core: std::sync::Arc<LexCore>,
-    munch: Munch,
+    /// The open munch over `input[at.start..]`.
+    at: ScanFrom,
     /// Everything pushed so far (certification at `finish` re-checks
     /// the emitted tokens against exactly this).
     input: String,
@@ -851,6 +809,9 @@ pub struct LexStream {
     /// How many tokens `push`/`finish` have emitted so far (probes via
     /// [`LexStream::pending_flush`] do not count).
     emitted: usize,
+    /// Scan-probe accumulator, flushed when the stream is dropped (a
+    /// clone starts from zero).
+    tally: crate::probes::ScanTally,
 }
 
 impl LexStream {
@@ -864,9 +825,10 @@ impl LexStream {
         &self.input
     }
 
-    /// Number of characters buffered for the in-progress token.
+    /// Number of characters the open munch has read for the
+    /// in-progress token.
     pub fn pending_chars(&self) -> usize {
-        self.munch.buf.len()
+        self.input[self.at.start..self.at.pos].chars().count()
     }
 
     /// `false` once a lexical error has been hit.
@@ -889,33 +851,37 @@ impl LexStream {
     /// the stream stays dead (and keeps returning the same error) from
     /// then on.
     pub fn push(&mut self, c: char) -> Result<Vec<Token>, LexError> {
+        let mut out = Vec::new();
+        self.push_into(c, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`LexStream::push`] appending into `out`; on `Err` nothing is
+    /// appended.
+    fn push_into(&mut self, c: char, out: &mut Vec<Token>) -> Result<(), LexError> {
         self.input.push(c);
         if let Some(e) = &self.dead {
             return Err(e.clone());
         }
-        let mut out = Vec::new();
-        let mut queue = VecDeque::from([c]);
-        match self.munch.drain(&self.core, &mut queue, &mut out) {
-            Ok(()) => {
-                SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out);
-                Ok(out)
-            }
-            Err(e) => {
-                self.dead = Some(e.clone());
-                Err(e)
-            }
+        let from = out.len();
+        if let Err(e) = munch_tokens(
+            &self.core,
+            &self.input,
+            &mut self.at,
+            false,
+            &mut self.tally,
+            out,
+        ) {
+            out.truncate(from);
+            self.dead = Some(e.clone());
+            return Err(e);
         }
+        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[from..]);
+        Ok(())
     }
 
-    /// Pushes a whole string through the bulk byte-sliced path:
-    /// instead of stepping the char-at-a-time munch automaton, the
-    /// unresolved suffix is re-scanned with `scan_token` (the same
-    /// 8-byte-unrolled hot loop behind one-shot lexing), settled tokens
-    /// are emitted in one pass, and only the still-pending tail is
-    /// replayed into the incremental munch state. Observationally
-    /// identical to `for c in s.chars() { self.push(c)?; }` — same
-    /// tokens, same errors, same retained state — the per-char loop
-    /// survives as the error path and as the differential reference.
+    /// Pushes a whole string: exactly `for c in s.chars() { self.push(c)?; }`
+    /// — same tokens, same errors, same retained state.
     ///
     /// # Errors
     ///
@@ -929,7 +895,7 @@ impl LexStream {
 
     /// [`LexStream::push_str`] appending into a caller-provided buffer,
     /// so a loop feeding many slices can reuse one allocation. On
-    /// `Err`, tokens resolved by earlier slices of `s` before the
+    /// `Err`, tokens resolved by earlier characters of `s` before the
     /// stream died may already have been appended; the stream is dead
     /// either way.
     ///
@@ -937,103 +903,31 @@ impl LexStream {
     ///
     /// As [`LexStream::push`].
     pub fn push_str_into(&mut self, s: &str, out: &mut Vec<Token>) -> Result<(), LexError> {
-        if self.dead.is_some() || s.is_empty() {
-            // Degenerate cases take the per-char loop verbatim: an
-            // empty push is a no-op even on a dead stream; a dead
-            // stream records exactly one more char and re-reports.
-            for c in s.chars() {
-                out.extend(self.push(c)?);
-            }
-            return Ok(());
+        for c in s.chars() {
+            self.push_into(c, out)?;
         }
-        let core = self.core.clone();
-        let old_len = self.input.len();
-        self.input.push_str(s);
-        // Speculatively re-scan the whole unresolved region (pending
-        // token start to new end) with the byte-sliced scanner. Each
-        // scan that *dies* before the end settles one token boundary;
-        // the scan that runs out of input is the new pending tail.
-        let start = self.munch.token_start;
-        let mut pos = start;
-        let mut tally = crate::probes::ScanTally::default();
-        let mut settled: Vec<(usize, usize, usize)> = Vec::new(); // (rule, start, end)
-        loop {
-            let scan = scan_token(&core, &self.input, pos);
-            tally.scan(&scan, pos, self.input.len());
-            match scan.stop {
-                ScanStop::EndOfInput => break,
-                ScanStop::Dead(_) => match scan.last {
-                    Some((rule, end)) => {
-                        tally.settled(&scan, self.input.len());
-                        settled.push((rule, pos, end));
-                        pos = end;
-                    }
-                    None => {
-                        // The chain errors somewhere in `s`. Roll the
-                        // bulk append back and replay per-char: which
-                        // chars the stream retains and what the munch
-                        // holds at death are per-char semantics, and
-                        // errors are not the hot path.
-                        self.input.truncate(old_len);
-                        for c in s.chars() {
-                            out.extend(self.push(c)?);
-                        }
-                        return Ok(());
-                    }
-                },
-            }
-        }
-        let emit_from = out.len();
-        for &(rule, tstart, end) in &settled {
-            out.push(Token {
-                rule,
-                text: self.input[tstart..end].to_owned(),
-                span: Span { start: tstart, end },
-                sym: core.spec.token_symbol(rule),
-            });
-        }
-        if settled.is_empty() {
-            // `s` only extends the pending token: feed the new chars
-            // into the live munch so repeated bulk pushes stay
-            // incremental.
-            let mut queue: VecDeque<char> = s.chars().collect();
-            self.munch
-                .drain(&core, &mut queue, out)
-                .expect("scan reached end of input alive; the replay cannot die");
-            debug_assert_eq!(out.len(), emit_from, "no death ⇒ no resolved boundary");
-        } else {
-            // Re-derive the pending munch from the last settled
-            // boundary — exactly the state the per-char path keeps: a
-            // fresh automaton fed the unresolved suffix (bounded by
-            // the longest lexeme plus its overrun).
-            self.munch.state = core.dfa.init();
-            self.munch.buf.clear();
-            self.munch.buf_bytes = 0;
-            self.munch.token_start = pos;
-            self.munch.last = None;
-            let mut queue: VecDeque<char> = self.input[pos..].chars().collect();
-            let before = out.len();
-            self.munch
-                .drain(&core, &mut queue, out)
-                .expect("scan reached end of input alive; the replay cannot die");
-            debug_assert_eq!(out.len(), before, "no death ⇒ no resolved boundary");
-        }
-        SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out[emit_from..]);
         Ok(())
     }
 
-    /// Ends the input, flushing the buffered token boundary.
+    /// Ends the input, cutting the open munch as end of input.
     ///
     /// # Errors
     ///
     /// [`LexError`] if the buffered suffix does not resolve into
     /// complete tokens.
     pub fn finish(mut self) -> Result<Vec<Token>, LexError> {
-        if let Some(e) = self.dead {
+        if let Some(e) = self.dead.take() {
             return Err(e);
         }
         let mut out = Vec::new();
-        self.munch.flush(&self.core, &mut out)?;
+        munch_tokens(
+            &self.core,
+            &self.input,
+            &mut self.at,
+            true,
+            &mut self.tally,
+            &mut out,
+        )?;
         SabotageLex::apply(&self.sabotage, &mut self.emitted, &mut out);
         Ok(out)
     }
@@ -1046,10 +940,10 @@ impl LexStream {
     }
 
     /// What [`LexStream::finish`] *would* emit for the buffered
-    /// boundary, without ending (or disturbing) the stream: the
-    /// resolution runs on a copy of the small munch state — it does not
-    /// clone the accumulated input, so per-character acceptance probes
-    /// stay O(pending token), not O(stream).
+    /// boundary, without ending (or disturbing) the stream: the cut
+    /// runs on a copy of the small munch state against the retained
+    /// input — nothing clones the accumulated input, so per-character
+    /// acceptance probes stay O(pending token), not O(stream).
     ///
     /// # Errors
     ///
@@ -1058,26 +952,33 @@ impl LexStream {
         if let Some(e) = &self.dead {
             return Err(e.clone());
         }
-        let mut probe = self.munch.clone();
+        let mut at = self.at;
         let mut out = Vec::new();
-        probe.flush(&self.core, &mut out)?;
+        munch_tokens(
+            &self.core,
+            &self.input,
+            &mut at,
+            true,
+            &mut crate::probes::ScanTally::default(),
+            &mut out,
+        )?;
         Ok(out)
     }
 
     /// Extracts the stream's state for serialization (session
     /// park/resume; sabotage injections are deliberately not exported).
     ///
-    /// The munch automaton's in-flight state (`state`, buffered chars,
-    /// last-accept marker) is *not* part of the export: it is a
-    /// deterministic function of the raw input since the last resolved
-    /// token boundary, and [`LexAutomaton::resume_stream`] re-derives
-    /// it by replaying that unresolved suffix — which both shrinks the
-    /// wire format and turns a corrupted boundary offset into a
-    /// detected inconsistency instead of a trusted lie.
+    /// The open munch (DFA state, read position, last accept) is *not*
+    /// part of the export: it is a deterministic function of the raw
+    /// input since the last resolved token boundary, and
+    /// [`LexAutomaton::resume_stream`] re-derives it by rescanning that
+    /// unresolved suffix — which both shrinks the wire format and turns
+    /// a corrupted boundary offset into a detected inconsistency
+    /// instead of a trusted lie.
     pub fn export_state(&self) -> LexStreamState {
         LexStreamState {
             input: self.input.clone(),
-            resume_from: self.munch.token_start,
+            resume_from: self.at.start,
             emitted: self.emitted,
             dead: self.dead.as_ref().map(|e| (e.at, e.found)),
         }
@@ -1290,6 +1191,46 @@ mod tests {
             "a dead stream records exactly one char per failed push_str"
         );
         assert!(stream.push_str("").is_ok(), "empty pushes stay no-ops");
+    }
+
+    #[test]
+    fn dead_streams_survive_export_and_resume() {
+        let auto = LexAutomaton::compile(crate::demo::arith_spec());
+        let mut stream = auto.stream();
+        let err = stream.push_str("1+x").unwrap_err();
+        let parked = stream.export_state();
+        assert_eq!(
+            parked.resume_from, err.at,
+            "the munch stops at the doomed token"
+        );
+        let mut resumed = auto.resume_stream(parked.clone()).unwrap();
+        assert_eq!(resumed.export_state(), parked);
+        assert_eq!(resumed.error(), Some(&err));
+        assert_eq!(resumed.push('1').unwrap_err(), err);
+        assert_eq!(resumed.raw_input(), "1+x1");
+    }
+
+    #[test]
+    fn forged_dead_blobs_are_refused() {
+        let auto = LexAutomaton::compile(crate::demo::arith_spec());
+        let mut stream = auto.stream();
+        stream.push_str("1+x").unwrap_err();
+        let honest = stream.export_state();
+        for resume_from in [0, 1, 3, 4] {
+            let forged = LexStreamState {
+                resume_from,
+                ..honest.clone()
+            };
+            assert!(
+                auto.resume_stream(forged).is_err(),
+                "resume_from {resume_from} disagrees with the error offset"
+            );
+        }
+        let beyond = LexStreamState {
+            dead: Some((9, 'x')),
+            ..honest
+        };
+        assert!(auto.resume_stream(beyond).is_err());
     }
 
     #[test]

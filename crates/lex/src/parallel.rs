@@ -11,11 +11,11 @@
 //! or two. The join then only has to *replay* the sequential chain with
 //! a memo:
 //!
-//! * the true chain is `s₀ = 0`, `sₖ₊₁ = end(scan(sₖ))` — one
-//!   `scan_token` per lexeme, each depending only on its start
+//! * the true chain is `s₀ = 0`, `sₖ₊₁ = end(munch(sₖ))` — one
+//!   munch step per lexeme, each depending only on its start
 //!   position and the full input;
 //! * every lexeme a chunk recorded was produced by exactly that
-//!   `scan_token` at its recorded start over the *full* input (chunks
+//!   munch step at its recorded start over the *full* input (chunks
 //!   bound where scans *begin*, never where they read), so whenever the
 //!   replay's position equals a recorded lexeme start, determinism
 //!   makes the chunk's entire remaining chain the true chain — splice
@@ -39,7 +39,7 @@
 //! and [`LexAutomaton::join_chunks`] is the cheap sequential join.
 
 use crate::compile::LexAutomaton;
-use crate::driver::{scan_token, LexError, RawLexeme, Span};
+use crate::driver::{munch, LexError, RawLexeme, ScanFrom};
 
 /// The result of speculatively scanning one chunk: the lexeme chain
 /// from the chunk's (guessed) start position, and the error the scan
@@ -101,30 +101,16 @@ impl LexAutomaton {
         let mut lexemes = Vec::new();
         let mut err = None;
         let mut tally = crate::probes::ScanTally::default();
-        let mut pos = start;
-        while pos < end {
-            let scan = scan_token(core, input, pos);
-            tally.scan(&scan, pos, input.len());
-            let Some((rule, end_at)) = scan.last else {
-                err = Some(LexError {
-                    at: pos,
-                    found: input[pos..]
-                        .chars()
-                        .next()
-                        .expect("a non-empty remainder has a first char"),
-                });
-                break;
-            };
-            tally.settled(&scan, input.len());
-            lexemes.push(RawLexeme {
-                rule,
-                span: Span {
-                    start: pos,
-                    end: end_at,
-                },
-                sym: core.spec.token_symbol(rule),
-            });
-            pos = end_at;
+        let mut at = ScanFrom::new(core, start);
+        while at.start < end {
+            match munch(core, input, &mut at, true, &mut tally) {
+                Some(Ok(lexeme)) => lexemes.push(lexeme),
+                Some(Err(e)) => {
+                    err = Some(e);
+                    break;
+                }
+                None => break,
+            }
         }
         LexChunk {
             start,
@@ -140,7 +126,7 @@ impl LexAutomaton {
     /// same `input`, in order, tiling it (`chunks[0].start == 0`, each
     /// `end` the next `start`, the last `end == input.len()`).
     ///
-    /// Work is O(spliced lexemes) plus one fresh `scan_token` per
+    /// Work is O(spliced lexemes) plus one fresh munch step per
     /// seam-straddling lexeme — on well-guessed seams, a handful of
     /// re-munches total regardless of input size.
     ///
@@ -177,24 +163,10 @@ impl LexAutomaton {
                     continue;
                 }
                 // Seam miss: re-munch one lexeme from the true position.
-                let scan = scan_token(core, input, p);
-                tally.scan(&scan, p, input.len());
-                let Some((rule, end)) = scan.last else {
-                    return Err(LexError {
-                        at: p,
-                        found: input[p..]
-                            .chars()
-                            .next()
-                            .expect("a non-empty remainder has a first char"),
-                    });
-                };
-                tally.settled(&scan, input.len());
-                out.push(RawLexeme {
-                    rule,
-                    span: Span { start: p, end },
-                    sym: core.spec.token_symbol(rule),
-                });
-                p = end;
+                let lexeme = munch(core, input, &mut ScanFrom::new(core, p), true, &mut tally)
+                    .expect("a seam miss lies inside the input")?;
+                out.push(lexeme);
+                p = lexeme.span.end;
             }
         }
         Ok(out)

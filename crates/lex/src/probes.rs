@@ -7,13 +7,13 @@
 //! monotone — the interesting quantities are deltas between snapshots.
 //!
 //! Cost discipline: the per-byte scanner loop is never touched. Scan
-//! drivers accumulate into a stack-local tally (the crate-private
-//! `ScanTally`) and flush it to
-//! the statics once per driver call (or iterator drop), so the probe
-//! cost is a handful of `fetch_add`s per *lex run*, not per byte or per
-//! token. The certifier does the same with its re-match counts: the
-//! crate-private `CertTally` inside each `LexCertifier` flushes them
-//! once, when the certifier is dropped.
+//! drivers accumulate into a local tally (the crate-private
+//! `ScanTally`) and flush it to the statics once per driver call (or
+//! iterator or push-stream drop), so the probe cost is a handful of
+//! `fetch_add`s per *lex run*, not per byte or per token. The certifier
+//! does the same with its re-match counts: the crate-private
+//! `CertTally` inside each `LexCertifier` flushes them once, when the
+//! certifier is dropped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,8 +39,8 @@ pub struct LexProbes {
     /// Lexemes whose scan dropped to the char-level fallback at least
     /// once (non-ASCII input).
     pub fallback_tokens: u64,
-    /// Maximal-munch backtracks: scans (or push-mode munches) that
-    /// consumed lookahead past the token boundary they settled on.
+    /// Maximal-munch backtracks: munches that consumed lookahead past
+    /// the token boundary they settled on.
     pub backtracks: u64,
     /// Certifier re-matches that ran only on memoized derivative
     /// transitions. (The name predates the derivative-only certifier
@@ -64,9 +64,10 @@ pub fn snapshot() -> LexProbes {
     }
 }
 
-/// A stack-local accumulator the scan drivers batch probe updates in;
+/// A local accumulator the scan drivers batch probe updates in;
 /// flushed to the global statics on drop, so every driver exit path
-/// (including `?`) publishes exactly once.
+/// (including `?`) publishes exactly once. A clone starts from zero,
+/// so a cloned push stream never publishes its parent's counts again.
 #[derive(Debug, Default)]
 pub(crate) struct ScanTally {
     bytes: u64,
@@ -76,16 +77,16 @@ pub(crate) struct ScanTally {
 }
 
 impl ScanTally {
-    /// Accounts the bytes one `scan_token` read, starting at byte
-    /// `start` of an `input_len`-byte input.
+    /// Accounts the bytes one scan read, resuming at byte `from` of an
+    /// `input_len`-byte input.
     #[inline]
-    pub(crate) fn scan(&mut self, scan: &Scan, start: usize, input_len: usize) {
-        self.bytes += (Self::stop_pos(scan, input_len) - start) as u64;
+    pub(crate) fn scan(&mut self, scan: &Scan, from: usize, input_len: usize) {
+        self.bytes += (Self::stop_pos(scan, input_len) - from) as u64;
     }
 
     /// Accounts one token *settled* at the scan's last accept — called
-    /// only by drivers that actually cut there (push-mode scans that
-    /// stop at end-of-input leave the munch pending and must not call
+    /// only when the munch actually cuts there (a push-mode scan that
+    /// stops at end of input leaves the munch open and must not call
     /// this).
     #[inline]
     pub(crate) fn settled(&mut self, scan: &Scan, input_len: usize) {
@@ -107,6 +108,12 @@ impl ScanTally {
             ScanStop::Dead(d) => d,
             ScanStop::EndOfInput => input_len,
         }
+    }
+}
+
+impl Clone for ScanTally {
+    fn clone(&self) -> ScanTally {
+        ScanTally::default()
     }
 }
 
@@ -181,6 +188,7 @@ mod tests {
                 last: Some((0, 4)),
                 stop: ScanStop::Dead(4),
                 fell_back: false,
+                state: 0,
             };
             t.scan(&clean, 0, 10);
             t.settled(&clean, 10);
@@ -189,6 +197,7 @@ mod tests {
                 last: Some((1, 6)),
                 stop: ScanStop::Dead(9),
                 fell_back: true,
+                state: 0,
             };
             t.scan(&overrun, 4, 10);
             t.settled(&overrun, 10);
@@ -199,6 +208,7 @@ mod tests {
                     last: None,
                     stop: ScanStop::EndOfInput,
                     fell_back: false,
+                    state: 0,
                 },
                 6,
                 10,

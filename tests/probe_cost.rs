@@ -13,6 +13,9 @@
 //! growing the *stack* we pad with whitespace, which the lexer consumes
 //! as skip lexemes that never reach the parser. A probe over a 64 KiB
 //! document must then cost exactly what it costs over a 1 KiB one.
+//!
+//! The last test pins the push stream's scan work: each pushed byte is
+//! scanned about once and counted by `lambekd_lex_scan_bytes_total`.
 
 use lambek_engine::{Engine, PipelineSpec};
 
@@ -73,4 +76,27 @@ fn repeated_probes_do_stack_depth_work_not_input_work() {
         "per-probe work must depend on the stack, not the document"
     );
     assert!(small <= 64, "each probe is O(stack depth): {small} steps");
+}
+
+#[test]
+fn streamed_bytes_reach_the_scan_probe_once() {
+    let engine = Engine::new();
+    let spec = PipelineSpec::arith_lexed();
+    let input = padded_arith(32 * 1024);
+    let len = input.len() as u64;
+    let before = lambek_lex::probes::snapshot().scan_bytes;
+    let mut stream = engine.stream(&spec).unwrap();
+    for c in input.chars() {
+        stream.push_char(c);
+    }
+    assert!(stream.finish().unwrap().is_accept());
+    let read = lambek_lex::probes::snapshot().scan_bytes - before;
+    assert!(
+        read >= len,
+        "every streamed byte is scanned: {read} < {len}"
+    );
+    // The sibling tests stream concurrently into the same process-wide
+    // counter, hence the slack; a munch that re-scanned its pending
+    // token from the start on every push would read over a GiB here.
+    assert!(read <= 16 * len, "{read} bytes scanned for {len} pushed");
 }

@@ -24,7 +24,7 @@ use lambek_cfg::earley::earley_recognize;
 use lambek_core::alphabet::{Alphabet, GString};
 use lambek_lex::demo::{arith_spec, arith_token_cfg};
 use lambek_lex::spec::LexSpecBuilder;
-use lambek_lex::{CertifiedLexer, LexAutomaton, LexedOutcome, Token};
+use lambek_lex::{CertifiedLexer, LexAutomaton, LexError, LexStream, LexedOutcome, Token};
 use lambek_lr::CertifiedLrParser;
 use regex_grammars::ast::Regex;
 use regex_grammars::derivative::{derivative, matches};
@@ -137,6 +137,14 @@ fn reference_lex(regexes: &[Regex], sigma: &Alphabet, input: &str) -> Option<Vec
     Some(out)
 }
 
+/// Pushes `rest` through `stream` and finishes it: every token the
+/// stream emits from here on.
+fn lex_rest(mut stream: LexStream, rest: &str) -> Result<Vec<Token>, LexError> {
+    let mut tokens = stream.push_str(rest)?;
+    tokens.extend(stream.finish()?);
+    Ok(tokens)
+}
+
 fn render(w: &GString, sigma: &Alphabet) -> String {
     sigma.display(w)
 }
@@ -170,7 +178,8 @@ proptest! {
 
     /// Property 2: the tagged-DFA driver and the derivative-based
     /// reference lexer agree exactly — on acceptance, boundaries, and
-    /// rule choice — and the push-mode stream agrees with both.
+    /// rule choice — and the push-mode stream agrees with both, its
+    /// end-of-input probe and park/resume included.
     #[test]
     fn driver_agrees_with_naive_reference(seed in 0u64..300) {
         let (auto, regexes) = random_spec(seed);
@@ -192,15 +201,34 @@ proptest! {
                     "driver {fast:?} disagrees with reference {reference:?} on {input:?}"
                 ),
             }
-            // Stream form: same verdict, same tokens.
+            // Stream form: same verdict, same tokens. After every push,
+            // the end-of-input probe agrees with finishing a clone, and
+            // a live stream parked and resumed mid-input lexes the rest
+            // of the input the same way.
             let mut stream = auto.stream();
             let mut streamed: Vec<Token> = Vec::new();
             let mut failed = false;
-            for c in input.chars() {
+            for (i, c) in input.char_indices() {
                 match stream.push(c) {
                     Ok(ts) => streamed.extend(ts),
                     Err(_) => { failed = true; break; }
                 }
+                let after = i + c.len_utf8();
+                prop_assert_eq!(
+                    stream.pending_flush(),
+                    stream.clone().finish(),
+                    "probe differs from finish on {:?} after {} bytes",
+                    input,
+                    after
+                );
+                let resumed = auto.resume_stream(stream.export_state()).unwrap();
+                prop_assert_eq!(
+                    lex_rest(resumed, &input[after..]),
+                    lex_rest(stream.clone(), &input[after..]),
+                    "resume after {} bytes diverges on {:?}",
+                    after,
+                    input
+                );
             }
             if !failed {
                 match stream.finish() {

@@ -382,3 +382,20 @@ fn resealed_tampered_payloads_fail_revalidation_not_certification() {
         "at least some payload tampering must be caught by re-validation"
     );
 }
+
+/// A dead lexed session parks, resumes and re-parks to the identical
+/// blob: the resumed lexer keeps its munch at the lexical error, and
+/// later pushes keep reporting that error.
+#[test]
+fn resumed_dead_lexed_sessions_resnapshot_identically() {
+    let engine = Engine::new();
+    let spec = PipelineSpec::arith_lexed();
+    let mut stream = engine.stream(&spec).unwrap();
+    assert!(!stream.push_chars("1+x"), "'x' does not lex");
+    let blob = stream.snapshot().unwrap();
+    let blob = SessionState::from_bytes(blob.into_bytes());
+    let mut resumed = engine.resume(&spec, &blob).unwrap();
+    assert_eq!(resumed.snapshot().unwrap().as_bytes(), blob.as_bytes());
+    assert_eq!(resumed.push_char('1'), stream.push_char('1'));
+    assert_eq!(resumed.raw_input(), stream.raw_input());
+}
