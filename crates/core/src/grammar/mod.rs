@@ -5,6 +5,8 @@
 //!
 //! * [`expr`] — deep linear-type expressions (the positive connectives);
 //! * [`parse_tree`] — abstract parses, yields and validation;
+//! * [`tape`] — the same parses as flat postorder records, the form the
+//!   LR machine writes;
 //! * [`compile`] — flattening to a node graph with nullability analysis;
 //! * [`recognize`] — deciding membership `w ∈ L(A)`;
 //! * [`enumerate`] — materializing/counting the parse set `A(w)`;
@@ -20,3 +22,4 @@ pub mod expr;
 pub mod parse_tree;
 pub mod recognize;
 pub mod string_type;
+pub mod tape;

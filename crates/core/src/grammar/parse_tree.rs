@@ -86,34 +86,46 @@ impl ParseTree {
         out
     }
 
+    /// Pushes the yield onto `out` with an explicit stack, so a tree as
+    /// deep as its input cannot overflow the call stack.
     fn flatten_into(&self, out: &mut GString) {
-        match self {
-            ParseTree::Char(s) => out.push(*s),
-            ParseTree::Unit => {}
-            ParseTree::Pair(l, r) => {
-                l.flatten_into(out);
-                r.flatten_into(out);
+        let mut stack = vec![self];
+        while let Some(t) = stack.pop() {
+            match t {
+                ParseTree::Char(s) => out.push(*s),
+                ParseTree::Unit => {}
+                ParseTree::Pair(l, r) => {
+                    stack.push(r);
+                    stack.push(l);
+                }
+                ParseTree::Inj { tree, .. } | ParseTree::Roll(tree) => stack.push(tree),
+                ParseTree::Tuple(ts) => stack.push(
+                    ts.first()
+                        .expect("empty Tuple has no well-defined yield; use Top"),
+                ),
+                ParseTree::Top(w) => out.extend(w.iter()),
             }
-            ParseTree::Inj { tree, .. } => tree.flatten_into(out),
-            ParseTree::Tuple(ts) => ts
-                .first()
-                .expect("empty Tuple has no well-defined yield; use Top")
-                .flatten_into(out),
-            ParseTree::Top(w) => out.extend(w.iter()),
-            ParseTree::Roll(t) => t.flatten_into(out),
         }
     }
 
     /// Number of constructors in the tree (a size measure used by tests
-    /// and benchmarks).
+    /// and benchmarks), counted with an explicit stack.
     pub fn size(&self) -> usize {
-        match self {
-            ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => 1,
-            ParseTree::Pair(l, r) => 1 + l.size() + r.size(),
-            ParseTree::Inj { tree, .. } => 1 + tree.size(),
-            ParseTree::Tuple(ts) => 1 + ts.iter().map(ParseTree::size).sum::<usize>(),
-            ParseTree::Roll(t) => 1 + t.size(),
+        let mut stack = vec![self];
+        let mut n = 0;
+        while let Some(t) = stack.pop() {
+            n += 1;
+            match t {
+                ParseTree::Char(_) | ParseTree::Unit | ParseTree::Top(_) => {}
+                ParseTree::Pair(l, r) => {
+                    stack.push(r);
+                    stack.push(l);
+                }
+                ParseTree::Inj { tree, .. } | ParseTree::Roll(tree) => stack.push(tree),
+                ParseTree::Tuple(ts) => stack.extend(ts),
+            }
         }
+        n
     }
 }
 
@@ -397,6 +409,32 @@ mod tests {
             check_shape(&t, &g, None),
             Err(ValidateError::IndexOutOfRange { index: 5, arity: 2 })
         ));
+    }
+
+    #[test]
+    fn deep_towers_size_and_flatten_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let (_, a, ..) = setup();
+                let mut tree = ParseTree::Char(a);
+                for _ in 0..200_000 {
+                    tree = ParseTree::roll(tree);
+                }
+                assert_eq!(tree.size(), 200_001);
+                assert_eq!(tree.flatten().len(), 1);
+                // Take the tower apart iteratively: the derived `Drop`
+                // recurses once per level.
+                let mut levels = 0;
+                while let ParseTree::Roll(inner) = tree {
+                    tree = *inner;
+                    levels += 1;
+                }
+                assert_eq!((levels, tree), (200_000, ParseTree::Char(a)));
+            })
+            .expect("spawn")
+            .join()
+            .expect("a 200k-deep tower sizes and flattens iteratively");
     }
 
     #[test]

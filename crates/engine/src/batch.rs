@@ -313,16 +313,17 @@ fn str_outcome(
     result: Result<StrOutcome, TransformError>,
 ) -> StrReportOutcome {
     match result {
-        Ok(StrOutcome::Accept { tree, tokens }) => StrReportOutcome::Accepted {
+        Ok(StrOutcome::Accept { tree, .. }) => StrReportOutcome::Accepted {
+            // Both counts were kept as the tape was written: nothing
+            // here walks the tree or allocates its yield.
             tree_size: tree.size(),
-            // The fused lexed path never materializes the token
-            // stream; its yield count is the tree's yield length
-            // (identical by the intrinsic contract — the tree's yield
-            // *is* the token string). Non-lexed pipelines stay at 0.
-            tokens: match tokens {
-                Some(t) => t.yield_string().len(),
-                None if pipeline.lexed_backend().is_some() => tree.flatten().len(),
-                None => 0,
+            // The yield *is* the token string (the intrinsic contract),
+            // so its length is the token count whether or not the path
+            // materialized the stream. Non-lexed pipelines stay at 0.
+            tokens: if pipeline.lexed_backend().is_some() {
+                tree.yield_len()
+            } else {
+                0
             },
         },
         Ok(StrOutcome::RejectParse { span, message, .. }) => {

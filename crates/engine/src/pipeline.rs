@@ -33,6 +33,7 @@ use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{Alphabet, GString};
 use lambek_core::grammar::expr::Grammar;
 use lambek_core::grammar::parse_tree::{validate, ParseTree};
+use lambek_core::grammar::tape::ParseTape;
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
@@ -476,11 +477,12 @@ impl CfgBackend {
         }
     }
 
-    /// Parses with the backing parser and certifies the result: any
-    /// accepted tree is validated against the μ-regular grammar and the
-    /// input before being returned.
-    fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
-        let accepted = match &self.mode {
+    /// Parses with the backing parser and certifies the result: the
+    /// LR machine certifies every step as it writes the tape, and an
+    /// Earley tree is validated against the μ-regular grammar and the
+    /// input before being returned. `None` is a rejection.
+    fn parse_tape(&self, w: &GString) -> Result<Option<ParseTape>, TransformError> {
+        Ok(match &self.mode {
             CfgMode::Lr(lr) => match lr.parse(w).map_err(|e| TransformError::OutputShape {
                 transformer: "certified-lr".to_owned(),
                 cause: e.cause,
@@ -496,13 +498,17 @@ impl CfgBackend {
                         transformer: "earley-fallback".to_owned(),
                         cause,
                     })?;
-                    Some(tree)
+                    Some(ParseTape::from_tree(&tree))
                 }
                 EarleyParse::NoParse => None,
             },
-        };
-        Ok(match accepted {
-            Some(tree) => ParseOutcome::Accept(tree),
+        })
+    }
+
+    /// [`CfgBackend::parse_tape`] as a paper-level [`ParseOutcome`].
+    fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
+        Ok(match self.parse_tape(w)? {
+            Some(tree) => ParseOutcome::Accept(tree.to_tree()),
             // No general complement construction for CFGs: the rejection
             // witness is the trivial ⊤-parse of the input (yield-correct,
             // but ⊤ is not disjoint from the grammar — see module docs).
@@ -533,8 +539,10 @@ pub enum StrOutcome {
     /// the stream itself is wanted. Non-lexed pipelines always report
     /// `None` (the "lexer" was the trivial char-per-symbol reading).
     Accept {
-        /// The certified parse tree over the pipeline's grammar.
-        tree: ParseTree,
+        /// The certified parse tree over the pipeline's grammar, as a
+        /// flat postorder [`ParseTape`] (LR-backed paths write it
+        /// directly; the others convert their tree once).
+        tree: ParseTape,
         /// The certified token stream (materializing lexed paths only).
         tokens: Option<TokenStream>,
     },
@@ -563,7 +571,7 @@ impl StrOutcome {
     }
 
     /// The accepted tree, if any.
-    pub fn accepted(&self) -> Option<&ParseTree> {
+    pub fn accepted(&self) -> Option<&ParseTape> {
         match self {
             StrOutcome::Accept { tree, .. } => Some(tree),
             _ => None,
@@ -780,7 +788,7 @@ impl LexedCfgBackend {
                             }
                         })?;
                         Ok(StrOutcome::Accept {
-                            tree,
+                            tree: ParseTape::from_tree(&tree),
                             tokens: Some(tokens),
                         })
                     }
@@ -895,7 +903,7 @@ impl LexedCfgBackend {
                         cause,
                     })?;
                     Ok(StrOutcome::Accept {
-                        tree,
+                        tree: ParseTape::from_tree(&tree),
                         tokens: Some(tokens),
                     })
                 }
@@ -1052,9 +1060,23 @@ impl CompiledPipeline {
                 None => return Ok(StrOutcome::RejectLex(LexError { at, found: c })),
             }
         }
-        Ok(match self.parse(&w)? {
-            ParseOutcome::Accept(tree) => StrOutcome::Accept { tree, tokens: None },
-            ParseOutcome::Reject(_) => StrOutcome::RejectParse {
+        self.parse_chars(input, &w)
+    }
+
+    /// Parses the char-per-symbol reading `w` of `input` (non-lexed
+    /// pipelines), keeping a CFG backend's tape as it was written.
+    fn parse_chars(&self, input: &str, w: &GString) -> Result<StrOutcome, TransformError> {
+        let accepted = match &self.imp {
+            ParserImpl::Verified { parser, .. } => match parser.parse(w)? {
+                ParseOutcome::Accept(tree) => Some(ParseTape::from_tree(&tree)),
+                ParseOutcome::Reject(_) => None,
+            },
+            ParserImpl::Cfg(b) => b.parse_tape(w)?,
+            ParserImpl::LexedCfg(b) => b.inner.parse_tape(w)?,
+        };
+        Ok(match accepted {
+            Some(tree) => StrOutcome::Accept { tree, tokens: None },
+            None => StrOutcome::RejectParse {
                 span: Span {
                     start: 0,
                     end: input.len(),
@@ -1100,19 +1122,9 @@ impl CompiledPipeline {
         }
         rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
         let p0 = epoch.elapsed();
-        let parsed = self.parse(&w)?;
+        let parsed = self.parse_chars(input, &w)?;
         rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        Ok(match parsed {
-            ParseOutcome::Accept(tree) => StrOutcome::Accept { tree, tokens: None },
-            ParseOutcome::Reject(_) => StrOutcome::RejectParse {
-                span: Span {
-                    start: 0,
-                    end: input.len(),
-                },
-                message: "input is not in the grammar".to_owned(),
-                tokens: None,
-            },
-        })
+        Ok(parsed)
     }
 
     /// Fast acceptance check: a dense-table DFA or LR run when one is
@@ -1311,7 +1323,7 @@ mod tests {
         // Double certification is re-checkable from the outside too:
         // the tree's yield is the token string…
         assert_eq!(&tree.flatten(), tokens.yield_string());
-        validate(&tree, p.grammar(), tokens.yield_string()).unwrap();
+        validate(&tree.to_tree(), p.grammar(), tokens.yield_string()).unwrap();
         // …and the lexer's spans tile the raw text.
         b.lexer().certify(input, tokens.tokens()).unwrap();
         assert!(p.accepts_str(input));

@@ -724,7 +724,7 @@ impl StreamParser {
                     transformer: "certified-lr-stream".to_owned(),
                     cause: e.cause,
                 })? {
-                    LrOutcome::Accept(tree) => Ok(ParseOutcome::Accept(tree)),
+                    LrOutcome::Accept(tree) => Ok(ParseOutcome::Accept(tree.to_tree())),
                     // Same rejection convention as the one-shot CFG path:
                     // the ⊤-parse of the input.
                     LrOutcome::Reject(_) => Ok(ParseOutcome::Reject(ParseTree::Top(input))),
@@ -784,7 +784,7 @@ impl StreamParser {
                     transformer: "certified-lexed-lr-stream".to_owned(),
                     cause: e.cause,
                 })? {
-                    LrOutcome::Accept(tree) => Ok(ParseOutcome::Accept(tree)),
+                    LrOutcome::Accept(tree) => Ok(ParseOutcome::Accept(tree.to_tree())),
                     LrOutcome::Reject(_) => Ok(ParseOutcome::Reject(ParseTree::Top(input))),
                 }
             }
@@ -1111,7 +1111,7 @@ mod tests {
             );
             if let (Some(stream_tree), Some(batch_tree)) = (outcome.accepted(), one_shot.accepted())
             {
-                assert_eq!(stream_tree, batch_tree, "{input:?}");
+                assert_eq!(stream_tree, &batch_tree.to_tree(), "{input:?}");
                 validate(stream_tree, pipeline.grammar(), &stream_tree.flatten()).unwrap();
             }
         }

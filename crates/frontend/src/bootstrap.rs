@@ -39,6 +39,7 @@ use std::sync::OnceLock;
 use lambek_cfg::grammar::{Cfg, GSym, Production};
 use lambek_core::alphabet::{Alphabet, Symbol};
 use lambek_core::grammar::parse_tree::ParseTree;
+use lambek_core::grammar::tape::ParseTape;
 use lambek_lex::{
     class, literal, plus, CertifiedLexer, LexSpec, LexSpecBuilder, LexedOutcome, Span, TokenStream,
 };
@@ -332,17 +333,18 @@ struct Leaf {
     span: Span,
 }
 
-/// Walks a certified bootstrap derivation tree (plus the token stream
-/// it parses) into the spanned surface AST.
+/// Walks a certified bootstrap derivation (plus the token stream it
+/// parses) into the spanned surface AST.
 ///
-/// The tree's `Char` leaves are, left to right, exactly the token
-/// yield, so the walker pairs a recursive descent over the μ-regular
-/// tree shape (`Roll(Inj(alt, right-nested pairs))`) with a cursor into
-/// the yield. Both inputs come from a certified parse; a shape mismatch
-/// is an internal invariant violation and panics.
+/// The tape is decoded once into its boxed [`ParseTree`] view, whose
+/// `Char` leaves are, left to right, exactly the token yield, so the
+/// walker pairs a recursive descent over the μ-regular tree shape
+/// (`Roll(Inj(alt, right-nested pairs))`) with a cursor into the yield.
+/// Both inputs come from a certified parse; a shape mismatch is an
+/// internal invariant violation and panics.
 pub fn ast_from_tree(
     text: &str,
-    tree: &ParseTree,
+    tape: &ParseTape,
     stream: &TokenStream,
 ) -> Result<SpecAst, FrontendError> {
     let leaves: Vec<Leaf> = stream
@@ -362,7 +364,7 @@ pub fn ast_from_tree(
         leaves,
         pos: 0,
     };
-    let decls = walker.file(tree)?;
+    let decls = walker.file(&tape.to_tree())?;
     Ok(SpecAst { decls })
 }
 

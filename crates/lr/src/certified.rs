@@ -29,9 +29,10 @@ use lambek_cfg::grammar::Cfg;
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::expr::Grammar;
 use lambek_core::grammar::parse_tree::{validate, ParseTree, ValidateError};
+use lambek_core::grammar::tape::ParseTape;
 
 use crate::driver::{
-    parse_tree, recognize_states, would_accept_after_states, would_accept_states, CertTables,
+    parse_tape, recognize_states, would_accept_after_states, would_accept_states, CertTables,
     ClaimRef, Machine, SabotageLr, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
@@ -39,9 +40,10 @@ use crate::table::{LrConflictReport, LrTable};
 /// The outcome of a certified LR parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LrOutcome {
-    /// The input is in the grammar; the tree has been certified against
-    /// the μ-regular grammar and the input string.
-    Accept(ParseTree),
+    /// The input is in the grammar; the tree, written as a flat
+    /// [`ParseTape`], has been certified against the μ-regular grammar
+    /// and the input string.
+    Accept(ParseTape),
     /// The input is not in the grammar; the report says where the driver
     /// stopped and what it expected.
     Reject(crate::driver::LrReject),
@@ -49,7 +51,7 @@ pub enum LrOutcome {
 
 impl LrOutcome {
     /// The accepted tree, if any.
-    pub fn accepted(&self) -> Option<&ParseTree> {
+    pub fn accepted(&self) -> Option<&ParseTape> {
         match self {
             LrOutcome::Accept(t) => Some(t),
             LrOutcome::Reject(_) => None,
@@ -111,8 +113,8 @@ struct LrCore {
 /// let p = Parens::new();
 /// let parser = CertifiedLrParser::compile(&dyck_cfg(&p)).unwrap();
 /// let w = p.alphabet.parse_str("(())()").unwrap();
-/// let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-/// assert_eq!(tree.flatten(), w); // intrinsic: the yield IS the input
+/// let tape = parser.parse(&w).unwrap().accepted().cloned().unwrap();
+/// assert_eq!(tape.flatten(), w); // intrinsic: the yield IS the input
 /// assert!(!parser.recognizes(&p.alphabet.parse_str("())").unwrap()));
 /// ```
 #[derive(Debug, Clone)]
@@ -173,7 +175,7 @@ impl CertifiedLrParser {
     /// checker rejects — impossible for a correctly constructed table,
     /// surfaced instead of trusted.
     pub fn parse(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tree(&self.core.table, &self.core.cfg, Some(&self.core.cert), w) {
+        match parse_tape(&self.core.table, &self.core.cfg, Some(&self.core.cert), w) {
             Ok(Ok(tree)) => Ok(LrOutcome::Accept(tree)),
             Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
             Err(cause) => Err(CertifyError { cause }),
@@ -190,9 +192,10 @@ impl CertifiedLrParser {
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tree(&self.core.table, &self.core.cfg, None, w) {
+        match parse_tape(&self.core.table, &self.core.cfg, None, w) {
             Ok(Ok(tree)) => {
-                validate(&tree, &self.core.grammar, w).map_err(|cause| CertifyError { cause })?;
+                validate(&tree.to_tree(), &self.core.grammar, w)
+                    .map_err(|cause| CertifyError { cause })?;
                 Ok(LrOutcome::Accept(tree))
             }
             Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
@@ -207,7 +210,7 @@ impl CertifiedLrParser {
     /// tree-producing parse) from the cost of certifying it.
     #[doc(hidden)]
     pub fn parse_unchecked(&self, w: &GString) -> LrOutcome {
-        match parse_tree(&self.core.table, &self.core.cfg, None, w) {
+        match parse_tape(&self.core.table, &self.core.cfg, None, w) {
             Ok(Ok(tree)) => LrOutcome::Accept(tree),
             Ok(Err(reject)) => LrOutcome::Reject(reject),
             Err(_) => unreachable!("the uncertified driver never faults"),
@@ -525,7 +528,7 @@ impl LrStream {
         match self.machine.feed(&self.core.table, cert, None) {
             Step::Accepted(tree) => {
                 if self.full_validate {
-                    validate(&tree, &self.core.grammar, &self.input)
+                    validate(&tree.to_tree(), &self.core.grammar, &self.input)
                         .map_err(|cause| CertifyError { cause })?;
                 }
                 Ok(LrOutcome::Accept(tree))
@@ -545,6 +548,11 @@ impl LrStream {
 /// state-extraction half of session park/resume (the serving engine's
 /// snapshot format serializes exactly this).
 ///
+/// The live stream keeps its partial derivations on one [`ParseTape`];
+/// extraction decodes it slot by slot into boxed [`ParseTree`]s, and
+/// resume writes them back the same way, so a snapshot's bytes do not
+/// depend on how the machine stores its stack.
+///
 /// Interned [`lambek_core::intern::GrammarId`]s are process-local, so
 /// the claim stack is exported as [`ClaimRef`]s (terminal/nonterminal
 /// *numbers*) and mapped back through the resuming parser's id tables.
@@ -556,7 +564,8 @@ impl LrStream {
 pub struct LrStreamState {
     /// The LR state stack, bottom marker (state 0) first.
     pub states: Vec<u32>,
-    /// The partial-derivation stack, one tree per non-bottom state.
+    /// The partial-derivation stack, one tree per non-bottom state,
+    /// decoded from the machine's tape.
     pub trees: Vec<ParseTree>,
     /// The certification claims, parallel to `trees`.
     pub claims: Vec<ClaimRef>,
@@ -606,7 +615,7 @@ impl LrStream {
             .collect();
         Some(LrStreamState {
             states: self.machine.states().to_vec(),
-            trees: self.machine.trees().to_vec(),
+            trees: self.machine.trees(),
             claims: claims?,
             shifts: self.machine.step_counts().0,
             reduces: self.machine.step_counts().1,
@@ -759,7 +768,7 @@ impl CertifiedLrParser {
         }
         Ok(LrStream {
             core: self.core.clone(),
-            machine: Machine::from_parts(st.states, st.trees, claim_ids, st.shifts, st.reduces),
+            machine: Machine::from_parts(st.states, &st.trees, claim_ids, st.shifts, st.reduces),
             input: st.input,
             dead,
             fault: None,

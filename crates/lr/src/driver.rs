@@ -4,10 +4,14 @@
 //! `ACTION[state, lookahead]` in the dense table, shift or reduce, and
 //! stop on accept or error. [`recognize_states`] keeps only the state
 //! stack (the allocation-light path behind `accepts` and
-//! [`LrStream::would_accept`]); the parsing drivers additionally keep a
-//! tree stack, building each reduction's derivation node via
-//! [`Cfg::derivation`] so the final tree is exactly the μ-regular parse
-//! tree the rest of the workspace consumes.
+//! [`LrStream::would_accept`]); the parsing drivers additionally write
+//! the derivation onto one [`ParseTape`]. The stack's partial trees sit
+//! on the tape side by side in postorder, so a shift appends one leaf
+//! record and a reduction appends its node's records (the right-nested
+//! pairs, the injection, the roll — [`Cfg::derivation`]'s shape) right
+//! after its children, which are already contiguous at the tape's end.
+//! Nothing is boxed, popped or moved, and the accepted tape decodes to
+//! exactly the μ-regular parse tree the rest of the workspace consumes.
 //!
 //! Every loop carries a *fuel* bound on reductions between shifts. A
 //! conflict-free LALR(1) table never needs it — it exists so that a
@@ -21,6 +25,7 @@ use lambek_cfg::grammar::{Cfg, GSym};
 use lambek_core::alphabet::{GString, Symbol};
 use lambek_core::grammar::expr::{chr, var};
 use lambek_core::grammar::parse_tree::{ParseTree, ValidateError};
+use lambek_core::grammar::tape::{ParseTape, Record};
 use lambek_core::intern::{self, GrammarId};
 
 use crate::table::{Action, LrTable};
@@ -131,8 +136,8 @@ fn render_claims(ids: &[GrammarId]) -> String {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SabotageLr {
-    /// At the `shift`th shift (0-based), push a leaf carrying `sym`
-    /// instead of the input symbol.
+    /// At the `shift`th shift (0-based), rewrite the leaf record to
+    /// carry `sym` instead of the input symbol.
     ShiftLeaf {
         /// Which shift to corrupt.
         shift: usize,
@@ -140,15 +145,15 @@ pub enum SabotageLr {
         sym: Symbol,
     },
     /// At the `reduce`th reduction, behave as if the table had said
-    /// `production` (pop its RHS length, build its derivation).
+    /// `production` (pop its RHS length, write its derivation).
     ReduceAs {
         /// Which reduction to corrupt.
         reduce: usize,
         /// The table production to substitute.
         production: usize,
     },
-    /// At the `reduce`th reduction, corrupt the emitted tree's injection
-    /// tag to `tag` after building it.
+    /// At the `reduce`th reduction, rewrite the emitted node's injection
+    /// record to carry `tag` after writing it.
     ReduceTag {
         /// Which reduction to corrupt.
         reduce: usize,
@@ -275,14 +280,19 @@ pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
     unreachable!("the EOF column only ever accepts or errors")
 }
 
-/// One shift-reduce engine over a dense table, carrying both the state
-/// stack and the tree stack. The one-shot parser and the push-mode
+/// One shift-reduce engine over a dense table, carrying the state stack
+/// and the derivation tape. The one-shot parser and the push-mode
 /// stream share it.
 #[derive(Debug, Clone)]
 pub(crate) struct Machine {
     states: Vec<u32>,
-    trees: Vec<ParseTree>,
-    /// One interned grammar id per tree on the stack: the grammar that
+    /// The stack's partial trees, one per non-bottom state, side by side
+    /// in postorder.
+    tape: ParseTape,
+    /// Where each stack slot's tree starts on the tape (parallel to
+    /// `states[1..]`).
+    starts: Vec<usize>,
+    /// One interned grammar id per stack slot: the grammar that slot's
     /// tree is claimed (and, inductively, checked) to parse. Maintained
     /// only when `feed` runs with certification tables.
     claims: Vec<GrammarId>,
@@ -302,7 +312,7 @@ pub(crate) enum Step {
     /// The terminal was shifted (never happens for the EOF column).
     Shifted,
     /// The accept action fired (EOF column only); here is the tree.
-    Accepted(ParseTree),
+    Accepted(ParseTape),
     /// No action: the state had nothing for this terminal.
     Rejected { state: usize },
     /// The incremental certifier caught the driver emitting a tree step
@@ -316,14 +326,17 @@ impl Machine {
         Machine::with_capacity(0)
     }
 
-    /// A machine with both stacks pre-sized for an input of `n` symbols.
+    /// A machine with its stacks and tape pre-sized for an input of `n`
+    /// symbols.
     pub(crate) fn with_capacity(n: usize) -> Machine {
         let mut states = Vec::with_capacity(n + 2);
         states.push(0);
         Machine {
             states,
-            trees: Vec::with_capacity(n + 1),
-            claims: Vec::new(),
+            // A leaf per symbol plus a few records per reduction.
+            tape: ParseTape::with_capacity(4 * n),
+            starts: Vec::with_capacity(n + 1),
+            claims: Vec::with_capacity(n + 1),
             sabotage: None,
             shifts_done: 0,
             reduces_done: 0,
@@ -346,7 +359,7 @@ impl Machine {
     /// Current parse-stack depth (states minus the bottom marker) — the
     /// number of partial trees held.
     pub(crate) fn depth(&self) -> usize {
-        self.trees.len()
+        self.starts.len()
     }
 
     /// The state stack, for acceptance probes.
@@ -359,10 +372,10 @@ impl Machine {
         *self.states.last().expect("state stack is never empty") as usize
     }
 
-    /// The partial-derivation stack (one tree per shifted-or-reduced
-    /// stack slot), for state extraction.
-    pub(crate) fn trees(&self) -> &[ParseTree] {
-        &self.trees
+    /// The partial derivations, one boxed tree per stack slot, for state
+    /// extraction.
+    pub(crate) fn trees(&self) -> Vec<ParseTree> {
+        self.tape.trees_from(0)
     }
 
     /// The claim stack parallel to [`Machine::trees`] (empty when the
@@ -375,17 +388,28 @@ impl Machine {
     /// half of session resume. The caller (see
     /// [`crate::CertifiedLrParser::resume_stream`]) is responsible for
     /// having *validated* the parts against the table and grammar; this
-    /// constructor only glues them back together.
+    /// constructor only glues them back together, writing the trees onto
+    /// the tape slot by slot.
     pub(crate) fn from_parts(
         states: Vec<u32>,
-        trees: Vec<ParseTree>,
+        trees: &[ParseTree],
         claims: Vec<GrammarId>,
         shifts_done: usize,
         reduces_done: usize,
     ) -> Machine {
+        let mut tape = ParseTape::new();
+        let starts = trees
+            .iter()
+            .map(|t| {
+                let at = tape.len();
+                tape.push_tree(t);
+                at
+            })
+            .collect();
         Machine {
             states,
-            trees,
+            tape,
+            starts,
             claims,
             sabotage: None,
             shifts_done,
@@ -415,19 +439,31 @@ impl Machine {
         self.flushed = (self.shifts_done, self.reduces_done, self.claims_checked);
     }
 
+    /// Renders the trees on the tape from word `at` on, for fault
+    /// reports.
+    fn render_from(&self, at: usize) -> String {
+        let trees: Vec<String> = self
+            .tape
+            .trees_from(at)
+            .iter()
+            .map(ParseTree::to_string)
+            .collect();
+        trees.join(" ")
+    }
+
     /// Feeds one input symbol (`None` = end of input): reduces until the
     /// table shifts, accepts or errors. Symbols outside the grammar's
     /// alphabet are rejected up front (see [`term_column`]).
     ///
     /// With `cert` tables, every step is certified as it happens: a
-    /// shifted leaf must be the input symbol, a reduction's popped
+    /// shifted leaf record must be the input symbol, a reduction's
     /// children must claim exactly the production's RHS ids, the emitted
-    /// node must carry the production's injection tag, and the accepted
-    /// stack must be a lone start-symbol claim. Each check is O(1) in
-    /// interned-id comparisons, and together they maintain the invariant
-    /// that every stack tree `check_shape`s against its claim and yields
-    /// the input slice it covers — so an `Accepted` tree needs no
-    /// whole-tree `validate`.
+    /// injection record must carry the production's tag, and the
+    /// accepted stack must be a lone start-symbol claim. Each check is
+    /// O(1) in interned-id comparisons, and together they maintain the
+    /// invariant that every stack slot's tree `check_shape`s against its
+    /// claim and yields the input slice it covers — so an `Accepted`
+    /// tape needs no whole-tree `validate`.
     pub(crate) fn feed(
         &mut self,
         table: &LrTable,
@@ -464,24 +500,25 @@ impl Machine {
             match table.action(s, term) {
                 Action::Shift(t) => {
                     let sym = sym.expect("EOF is never shifted");
-                    let mut leaf = ParseTree::Char(sym);
+                    let leaf = self.tape.len();
+                    self.tape.push_char(sym);
                     if let Some(SabotageLr::ShiftLeaf { shift, sym: bogus }) = self.sabotage {
                         if shift == self.shifts_done {
-                            leaf = ParseTree::Char(bogus);
+                            self.tape.rewrite(leaf, Record::Char(bogus));
                         }
                     }
                     self.shifts_done += 1;
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
-                        if !matches!(leaf, ParseTree::Char(c) if c == sym) {
+                        if self.tape.record(leaf) != Record::Char(sym) {
                             return Step::Faulted(ValidateError::ShapeMismatch {
                                 expected: intern::grammar(ct.chr_ids[sym.index()]).to_string(),
-                                found: leaf.to_string(),
+                                found: self.render_from(leaf),
                             });
                         }
                         self.claims.push(ct.chr_ids[sym.index()]);
                     }
-                    self.trees.push(leaf);
+                    self.starts.push(leaf);
                     self.states.push(t as u32);
                     return Step::Shifted;
                 }
@@ -494,26 +531,28 @@ impl Machine {
                         }
                         _ => (p, table.production(p)),
                     };
-                    if prod.rhs_len > self.trees.len() {
+                    if prod.rhs_len > self.starts.len() {
                         // An inconsistent table popping past the bottom
                         // marker: degrade to a rejection, not a panic
                         // (same defense as `would_accept_states`).
                         return Step::Rejected { state: s };
                     }
-                    // Build the derivation node in place (right-nested
-                    // tensor, `Unit` for an empty RHS — exactly
-                    // `Cfg::derivation`, minus its temporary children
-                    // vector: reductions are the hot loop).
-                    let body = if prod.rhs_len == 0 {
-                        ParseTree::Unit
+                    // The children are the top `rhs_len` slots, already
+                    // contiguous at the tape's end: append the right-
+                    // nested tensor over them (`Unit` for an empty RHS),
+                    // exactly `Cfg::derivation`'s shape.
+                    let node = if prod.rhs_len == 0 {
+                        let at = self.tape.len();
+                        self.tape.push_unit();
+                        at
                     } else {
-                        let mut acc = self.trees.pop().expect("rhs_len checked");
+                        let at = self.starts[self.starts.len() - prod.rhs_len];
                         for _ in 1..prod.rhs_len {
-                            let t = self.trees.pop().expect("rhs_len checked");
-                            acc = ParseTree::pair(t, acc);
+                            self.tape.push_pair();
                         }
-                        acc
+                        at
                     };
+                    self.starts.truncate(self.starts.len() - prod.rhs_len);
                     self.states.truncate(self.states.len() - prod.rhs_len);
                     let top = *self
                         .states
@@ -523,14 +562,12 @@ impl Machine {
                     let Some(g) = table.goto(top, prod.nt) else {
                         return Step::Rejected { state: top };
                     };
-                    let mut node = ParseTree::roll(ParseTree::inj(prod.alt, body));
+                    let inj = self.tape.len();
+                    self.tape.push_inj(prod.alt);
+                    self.tape.push_roll();
                     if let Some(SabotageLr::ReduceTag { reduce, tag }) = self.sabotage {
                         if reduce == self.reduces_done {
-                            if let ParseTree::Roll(inner) = &mut node {
-                                if let ParseTree::Inj { index, .. } = &mut **inner {
-                                    *index = tag;
-                                }
-                            }
+                            self.tape.rewrite(inj, Record::Inj(tag));
                         }
                     }
                     self.reduces_done += 1;
@@ -547,22 +584,16 @@ impl Machine {
                                 found: render_claims(&self.claims[popped_from.unwrap_or(0)..]),
                             });
                         }
-                        let tag_ok = matches!(
-                            &node,
-                            ParseTree::Roll(inner)
-                                if matches!(&**inner,
-                                    ParseTree::Inj { index, .. } if *index == prod.alt)
-                        );
-                        if !tag_ok {
+                        if self.tape.record(inj) != Record::Inj(prod.alt) {
                             return Step::Faulted(ValidateError::ShapeMismatch {
                                 expected: intern::grammar(ct.var_ids[prod.nt]).to_string(),
-                                found: node.to_string(),
+                                found: self.render_from(node),
                             });
                         }
                         self.claims.truncate(popped_from.expect("checked above"));
                         self.claims.push(ct.var_ids[prod.nt]);
                     }
-                    self.trees.push(node);
+                    self.starts.push(node);
                     self.states.push(g as u32);
                     if fuel == 0 {
                         return Step::Rejected { state: g };
@@ -570,13 +601,18 @@ impl Machine {
                     fuel -= 1;
                 }
                 Action::Accept => {
-                    let tree = self
-                        .trees
+                    let start = self
+                        .starts
                         .pop()
                         .expect("accept with the start tree on the stack");
+                    let tree = if start == 0 {
+                        std::mem::take(&mut self.tape)
+                    } else {
+                        self.tape.split_off(start)
+                    };
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
-                        let lone_start = self.trees.is_empty()
+                        let lone_start = self.starts.is_empty()
                             && self.claims.len() == 1
                             && self.claims[0] == ct.start_id;
                         if !lone_start {
@@ -594,16 +630,16 @@ impl Machine {
     }
 }
 
-/// Parses `w` end to end, returning the derivation tree (in
+/// Parses `w` end to end, returning the derivation tape (in
 /// [`Cfg::to_lambek`] shape) or a structured rejection. With `cert`
 /// tables the run is incrementally certified; the outer `Err` is a
 /// certification fault (never a plain rejection).
-pub(crate) fn parse_tree(
+pub(crate) fn parse_tape(
     table: &LrTable,
     cfg: &Cfg,
     cert: Option<&CertTables>,
     w: &GString,
-) -> Result<Result<ParseTree, LrReject>, ValidateError> {
+) -> Result<Result<ParseTape, LrReject>, ValidateError> {
     let mut m = Machine::with_capacity(w.len());
     for pos in 0..=w.len() {
         let sym = (pos < w.len()).then(|| w[pos]);

@@ -7,7 +7,8 @@
 //! construction with LALR-style state merging, dense row-major
 //! ACTION/GOTO tables (the same flat-`Vec` idiom as the automata
 //! layer's DFA tables), and a linear-time shift-reduce driver that
-//! builds μ-regular parse trees bottom-up.
+//! writes μ-regular parse trees bottom-up as flat postorder tapes
+//! ([`ParseTape`](lambek_core::grammar::tape::ParseTape)).
 //!
 //! The paper's contract is kept at the subsystem boundary:
 //!
@@ -37,8 +38,8 @@
 //! let w = [t.num, t.add, t.lp, t.num, t.add, t.num, t.rp]
 //!     .into_iter()
 //!     .collect();
-//! let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-//! validate(&tree, &exp_grammar(&t), &w).unwrap(); // already certified
+//! let tape = parser.parse(&w).unwrap().accepted().cloned().unwrap();
+//! validate(&tape.to_tree(), &exp_grammar(&t), &w).unwrap(); // already certified
 //! ```
 
 #![deny(missing_docs)]
@@ -79,8 +80,8 @@ mod tests {
             if let Some(tree) = out.accepted() {
                 // LR builds the exact same unique derivation the
                 // recursive-descent parser does.
-                assert_eq!(tree, &rd.unwrap(), "{w}");
-                validate(tree, &dyck_grammar(&p), &w).unwrap();
+                assert_eq!(&tree.to_tree(), &rd.unwrap(), "{w}");
+                validate(&tree.to_tree(), &dyck_grammar(&p), &w).unwrap();
             }
             assert_eq!(parser.recognizes(&w), out.is_accept(), "{w}");
         }
@@ -95,7 +96,7 @@ mod tests {
             let out = parser.parse(&w).unwrap();
             assert_eq!(out.is_accept(), ll1.is_some(), "{w}");
             if let Some(tree) = out.accepted() {
-                assert_eq!(tree, &ll1.unwrap(), "{w}");
+                assert_eq!(&tree.to_tree(), &ll1.unwrap(), "{w}");
             }
         }
     }
@@ -139,7 +140,7 @@ mod tests {
         for n in 1..8 {
             let w = s.parse_str(&"a".repeat(n)).unwrap();
             let tree = parser.parse(&w).unwrap().accepted().cloned().unwrap();
-            validate(&tree, &cfg.to_lambek(), &w).unwrap();
+            validate(&tree.to_tree(), &cfg.to_lambek(), &w).unwrap();
         }
         assert!(!parser.recognizes(&s.parse_str("").unwrap()));
     }

@@ -71,7 +71,7 @@ fn main() {
         panic!("input 0 is valid");
     };
     let tokens = tokens.expect("lexed pipeline");
-    validate(&tree, pipeline.grammar(), tokens.yield_string()).expect("tree certifies");
+    validate(&tree.to_tree(), pipeline.grammar(), tokens.yield_string()).expect("tree certifies");
     backend
         .lexer()
         .certify(inputs[0], tokens.tokens())

@@ -320,6 +320,11 @@ proptest! {
         );
         let outcome = stream.finish().unwrap();
         prop_assert_eq!(outcome.is_accept(), fused.is_accept(), "{:?}", input);
-        prop_assert_eq!(outcome.accepted(), fused.accepted(), "{:?}", input);
+        prop_assert_eq!(
+            outcome.accepted().cloned(),
+            fused.accepted().map(|t| t.to_tree()),
+            "{:?}",
+            input
+        );
     }
 }

@@ -89,12 +89,12 @@ proptest! {
                     if let Some(tree) = outcome.accepted() {
                         // Intrinsic: the tree validates against the
                         // μ-regular grammar and the actual input.
-                        validate(tree, &g, &w).expect("certified tree");
+                        validate(&tree.to_tree(), &g, &w).expect("certified tree");
                         // Determinism agreement: a conflict-free grammar
                         // is unambiguous, so Earley must report Unique —
                         // and uniqueness forces the same tree.
                         match earley_parse(&cfg, &w) {
-                            EarleyParse::Unique(et) => prop_assert_eq!(&et, tree, "{}", &w),
+                            EarleyParse::Unique(et) => prop_assert_eq!(&et, &tree.to_tree(), "{}", &w),
                             other => prop_assert!(
                                 false,
                                 "LR-deterministic grammar, Earley said {:?} on {}",
@@ -129,7 +129,7 @@ proptest! {
             let outcome = parser.parse(&w).expect("certification never fails");
             prop_assert_eq!(outcome.is_accept(), expected);
             if let Some(tree) = outcome.accepted() {
-                validate(tree, &g, &w).expect("certified tree");
+                validate(&tree.to_tree(), &g, &w).expect("certified tree");
             }
         }
     }
@@ -153,7 +153,7 @@ proptest! {
             let outcome = parser.parse(&w).expect("certification never fails");
             prop_assert_eq!(outcome.is_accept(), expected);
             if let Some(tree) = outcome.accepted() {
-                validate(tree, &g, &w).expect("certified tree");
+                validate(&tree.to_tree(), &g, &w).expect("certified tree");
             }
         }
     }
