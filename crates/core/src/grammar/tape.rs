@@ -128,9 +128,6 @@ pub struct ParseTape {
     yield_len: usize,
     /// Trees in the forest.
     roots: usize,
-    /// `Tuple` and `Top` records written: with none, the yield is just
-    /// the `Char` records in order.
-    wide: usize,
 }
 
 impl ParseTape {
@@ -274,7 +271,6 @@ impl ParseTape {
                         self.nodes += 1;
                         self.yield_len += w.len();
                         self.roots += 1;
-                        self.wide += 1;
                         yields.push(w.len());
                     }
                     ParseTree::Pair(l, r) => {
@@ -305,7 +301,6 @@ impl ParseTape {
                         self.words.push(word(TUPLE, n));
                         self.nodes += 1;
                         self.roots += 1;
-                        self.wide += 1;
                         let first = yields.len() - n;
                         let kept = yields.get(first).copied().unwrap_or(0);
                         let total: usize = yields[first..].iter().sum();
@@ -341,35 +336,11 @@ impl ParseTape {
         };
     }
 
-    /// Splits off the trees written from word `at` on into a tape of
-    /// their own. `at` must be where a tree starts.
-    pub fn split_off(&mut self, at: usize) -> ParseTape {
-        let mut tail = ParseTape::with_capacity(self.words.len() - at);
-        for tree in self.trees_from(at) {
-            tail.push_tree(&tree);
-        }
-        self.words.truncate(at);
-        self.nodes -= tail.nodes;
-        self.yield_len -= tail.yield_len;
-        self.roots -= tail.roots;
-        self.wide -= tail.wide;
-        tail
-    }
-
     /// The yield: the concatenated yields of the trees on the tape (a
     /// tuple contributing its first component's, as
     /// [`ParseTree::flatten`]).
     pub fn flatten(&self) -> GString {
         let mut out: Vec<Symbol> = Vec::with_capacity(self.yield_len);
-        if self.wide == 0 {
-            out.extend(
-                self.words
-                    .iter()
-                    .filter(|&&w| w & TAG_MASK == CHAR)
-                    .map(|&w| Symbol::from_index((w >> TAG_BITS) as usize)),
-            );
-            return GString::from_symbols(out);
-        }
         // Where each finished subtree's yield starts in `out`.
         let mut starts: Vec<usize> = Vec::new();
         for (at, rec) in records(&self.words) {
@@ -505,16 +476,21 @@ mod tests {
     }
 
     #[test]
-    fn forests_split_at_tree_starts() {
+    fn forests_decode_from_tree_starts() {
         let mut tape = ParseTape::new();
         tape.push_char(sym(1));
         let second = tape.len();
         tape.push_tree(&sample_tree());
         assert_eq!(tape.roots(), 2);
-        assert_eq!(tape.trees_from(0).len(), 2);
-        let tail = tape.split_off(second);
-        assert_eq!(tail, ParseTape::from_tree(&sample_tree()));
-        assert_eq!(tape, ParseTape::from_tree(&ParseTree::Char(sym(1))));
+        assert_eq!(
+            tape.trees_from(0),
+            vec![ParseTree::Char(sym(1)), sample_tree()]
+        );
+        assert_eq!(tape.trees_from(second), vec![sample_tree()]);
+        let mut w = vec![sym(1)];
+        w.extend(sample_tree().flatten().iter());
+        assert_eq!(tape.flatten(), GString::from_symbols(w));
+        assert_eq!(tape.yield_len(), tape.flatten().len());
     }
 
     #[test]

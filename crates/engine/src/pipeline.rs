@@ -481,13 +481,13 @@ impl CfgBackend {
     /// LR machine certifies every step as it writes the tape, and an
     /// Earley tree is validated against the μ-regular grammar and the
     /// input before being returned. `None` is a rejection.
-    fn parse_tape(&self, w: &GString) -> Result<Option<ParseTape>, TransformError> {
+    fn parse_certified(&self, w: &GString) -> Result<Option<Accepted>, TransformError> {
         Ok(match &self.mode {
             CfgMode::Lr(lr) => match lr.parse(w).map_err(|e| TransformError::OutputShape {
                 transformer: "certified-lr".to_owned(),
                 cause: e.cause,
             })? {
-                LrOutcome::Accept(tree) => Some(tree),
+                LrOutcome::Accept(tape) => Some(Accepted::Tape(tape)),
                 LrOutcome::Reject(_) => None,
             },
             CfgMode::Earley { cfg, grammar, .. } => match earley_parse(cfg, w) {
@@ -498,17 +498,17 @@ impl CfgBackend {
                         transformer: "earley-fallback".to_owned(),
                         cause,
                     })?;
-                    Some(ParseTape::from_tree(&tree))
+                    Some(Accepted::Tree(tree))
                 }
                 EarleyParse::NoParse => None,
             },
         })
     }
 
-    /// [`CfgBackend::parse_tape`] as a paper-level [`ParseOutcome`].
+    /// [`CfgBackend::parse_certified`] as a paper-level [`ParseOutcome`].
     fn parse(&self, w: &GString) -> Result<ParseOutcome, TransformError> {
-        Ok(match self.parse_tape(w)? {
-            Some(tree) => ParseOutcome::Accept(tree.to_tree()),
+        Ok(match self.parse_certified(w)? {
+            Some(accepted) => ParseOutcome::Accept(accepted.into_tree()),
             // No general complement construction for CFGs: the rejection
             // witness is the trivial ⊤-parse of the input (yield-correct,
             // but ⊤ is not disjoint from the grammar — see module docs).
@@ -520,6 +520,30 @@ impl CfgBackend {
         match &self.mode {
             CfgMode::Lr(lr) => lr.recognizes(w),
             CfgMode::Earley { cfg, .. } => earley_recognize(cfg, w),
+        }
+    }
+}
+
+/// A certified parse in the form its parser wrote it: the LR machine's
+/// tape or a boxed tree, converted only where the other form is asked
+/// for.
+enum Accepted {
+    Tape(ParseTape),
+    Tree(ParseTree),
+}
+
+impl Accepted {
+    fn into_tape(self) -> ParseTape {
+        match self {
+            Accepted::Tape(tape) => tape,
+            Accepted::Tree(tree) => ParseTape::from_tree(&tree),
+        }
+    }
+
+    fn into_tree(self) -> ParseTree {
+        match self {
+            Accepted::Tape(tape) => tape.to_tree(),
+            Accepted::Tree(tree) => tree,
         }
     }
 }
@@ -1071,8 +1095,8 @@ impl CompiledPipeline {
                 ParseOutcome::Accept(tree) => Some(ParseTape::from_tree(&tree)),
                 ParseOutcome::Reject(_) => None,
             },
-            ParserImpl::Cfg(b) => b.parse_tape(w)?,
-            ParserImpl::LexedCfg(b) => b.inner.parse_tape(w)?,
+            ParserImpl::Cfg(b) => b.parse_certified(w)?.map(Accepted::into_tape),
+            ParserImpl::LexedCfg(b) => b.inner.parse_certified(w)?.map(Accepted::into_tape),
         };
         Ok(match accepted {
             Some(tree) => StrOutcome::Accept { tree, tokens: None },

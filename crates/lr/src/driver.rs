@@ -601,15 +601,14 @@ impl Machine {
                     fuel -= 1;
                 }
                 Action::Accept => {
-                    let start = self
-                        .starts
+                    self.starts
                         .pop()
                         .expect("accept with the start tree on the stack");
-                    let tree = if start == 0 {
-                        std::mem::take(&mut self.tape)
-                    } else {
-                        self.tape.split_off(start)
-                    };
+                    // The accept state is only reached by the goto on the
+                    // start symbol from the bottom state, so its tree is
+                    // the whole tape; the certified path re-checks that
+                    // below (`lone_start`).
+                    let tree = std::mem::take(&mut self.tape);
                     if let Some(ct) = cert {
                         self.claims_checked += 1;
                         let lone_start = self.starts.is_empty()
