@@ -181,6 +181,21 @@ pub struct ParseReport {
     pub trace: Option<Trace>,
 }
 
+impl ParseReport {
+    /// The report for a request whose job panicked on the pool: the
+    /// panic was contained and the request failed alone.
+    pub(crate) fn panicked(index: usize, input_len: usize, message: &str) -> ParseReport {
+        ParseReport {
+            index,
+            input_len,
+            outcome: ReportOutcome::Failed(format!("request panicked: {message}")),
+            yield_ok: false,
+            duration: Duration::ZERO,
+            trace: None,
+        }
+    }
+}
+
 /// What happened to one raw-text input of a [`parse_batch_str`] batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrReportOutcome {
@@ -251,6 +266,20 @@ pub struct StrParseReport {
     /// [`crate::ObsConfig::tracing`]; `None` otherwise (including on
     /// the engine-less [`parse_batch_str`] baseline).
     pub trace: Option<Trace>,
+}
+
+impl StrParseReport {
+    /// The report for a request whose job panicked on the pool: the
+    /// panic was contained and the request failed alone.
+    pub(crate) fn panicked(index: usize, input_bytes: usize, message: &str) -> StrParseReport {
+        StrParseReport {
+            index,
+            input_bytes,
+            outcome: StrReportOutcome::Failed(format!("request panicked: {message}")),
+            duration: Duration::ZERO,
+            trace: None,
+        }
+    }
 }
 
 /// [`parse_one_str`] behind an admission check: shed requests carry a

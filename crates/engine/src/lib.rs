@@ -457,9 +457,14 @@ impl Engine {
         // per-call thread spawn/join the pool amortizes away.
         let items: Vec<GString> = inputs.to_vec();
         ctx.enqueue = epoch.elapsed();
-        Ok(self.pool().run_batch(items, workers, move |i, w| {
+        let results = self.pool().run_batch(items, workers, move |i, w| {
             batch::parse_one_limited(&pipeline, i, w, &limits, Some(&ctx))
-        }))
+        });
+        Ok(results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|p| ParseReport::panicked(i, inputs[i].len(), &p)))
+            .collect())
     }
 
     /// Parses every *raw-text* input against the pipeline for `spec`
@@ -517,9 +522,14 @@ impl Engine {
         }
         let items: Vec<String> = inputs.iter().map(|s| (*s).to_owned()).collect();
         ctx.enqueue = epoch.elapsed();
-        Ok(self.pool().run_batch(items, workers, move |i, s| {
+        let results = self.pool().run_batch(items, workers, move |i, s| {
             batch::parse_one_str_limited(&pipeline, i, s, &limits, Some(&ctx))
-        }))
+        });
+        Ok(results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|p| StrParseReport::panicked(i, inputs[i].len(), &p)))
+            .collect())
     }
 
     /// Certified lexing with speculative parallel chunked scanning:
@@ -572,9 +582,13 @@ impl Engine {
                 .map(|(k, &s)| (s, starts.get(k + 1).copied().unwrap_or(input.len())))
                 .collect();
             let shards = ranges.len();
-            self.pool().run_batch(ranges, shards, move |_, &(s, e)| {
-                auto.lex_chunk(&text, s, e)
-            })
+            self.pool()
+                .run_batch(ranges, shards, move |_, &(s, e)| {
+                    auto.lex_chunk(&text, s, e)
+                })
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .map_err(|p| EngineError::Contract(format!("a chunk scan panicked: {p}")))?
         };
         let joined = match lexer.automaton().join_chunks(input, &scanned) {
             Ok(lexemes) => lexemes,
@@ -728,7 +742,7 @@ impl Engine {
         ));
         out.push(Metric::single(
             "lambekd_pool_executed_total",
-            "Jobs executed by pool workers",
+            "Jobs executed by pool workers or their submitting thread",
             MetricValue::Counter(pool.executed),
         ));
         out.push(Metric::single(
@@ -740,6 +754,11 @@ impl Engine {
             "lambekd_pool_batches_total",
             "Batches run on the pool",
             MetricValue::Counter(pool.batches),
+        ));
+        out.push(Metric::single(
+            "lambekd_pool_panics_total",
+            "Requests whose job panicked; each failed alone",
+            MetricValue::Counter(pool.panics),
         ));
         if let Some(p) = self.pool.get() {
             out.push(Metric {

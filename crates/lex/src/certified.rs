@@ -27,16 +27,20 @@
 //! token instead of re-walking the whole stream at the end. The
 //! re-match steps one [`LazyDerivMatcher`] per rule — the same
 //! derivatives, memoized as a table of derivative states shared across
-//! lexemes — straight over the lexeme's characters, so no lexeme text
-//! is copied or retained. [`CertifiedLexer::lex_full`] keeps the
-//! original whole-stream re-validation as the slow differential
-//! reference.
+//! lexemes and threads — straight over the lexeme's characters, so no
+//! lexeme text is copied or retained. Each certifier takes an immutable
+//! [`DerivSnapshot`] of every rule's table when it is created and steps
+//! those without locking; only a transition its snapshot lacks takes
+//! the rule's lock, derives (or finds) it, and refreshes the snapshot.
+//! Concurrent requests on one lexer therefore share the memo without
+//! serializing on it. [`CertifiedLexer::lex_full`] keeps the original
+//! whole-stream re-validation as the slow differential reference.
 
 use std::fmt;
 use std::sync::Arc;
 
 use regex_grammars::derivative::matches;
-use regex_grammars::lazy::LazyDerivMatcher;
+use regex_grammars::lazy::{DerivSnapshot, LazyDerivMatcher};
 
 use crate::compile::LexAutomaton;
 use crate::driver::{LexError, RawLexeme, Token, TokenStream};
@@ -116,7 +120,7 @@ pub struct CertifiedLexer {
     auto: LexAutomaton,
     /// One memoized derivative matcher per rule, shared by every
     /// certifier this lexer hands out — the lazily discovered
-    /// derivative states persist across inputs.
+    /// derivative states persist across inputs and threads.
     matchers: Arc<Vec<LazyDerivMatcher>>,
 }
 
@@ -200,10 +204,16 @@ impl CertifiedLexer {
 
     /// Opens a fresh incremental certifier for one input: feed it every
     /// emitted token in order via [`LexCertifier::check`], then close
-    /// the tiling with [`LexCertifier::finish`].
+    /// the tiling with [`LexCertifier::finish`]. The certifier snapshots
+    /// every rule's derivative table here, once.
     pub fn certifier(&self) -> LexCertifier {
         LexCertifier {
             auto: self.auto.clone(),
+            tables: self
+                .matchers
+                .iter()
+                .map(LazyDerivMatcher::snapshot)
+                .collect(),
             matchers: self.matchers.clone(),
             cursor: 0,
             index: 0,
@@ -297,13 +307,18 @@ impl CertifiedLexer {
 /// literally the input bytes its span points at; [`LexCertifier::finish`]
 /// closes the invariant by demanding the cursor reached the end of the
 /// input. Membership re-matches each lexeme against its rule's regex on
-/// the lexer's shared memoized derivative matcher: once a rule's
-/// derivative table has settled, a lexeme certifies in one table lookup
-/// per character, and nothing about the lexeme is kept afterwards.
+/// the lexer's shared memoized derivative matcher, stepping the
+/// certifier's own snapshot of each rule's table: once a table has
+/// settled, a lexeme certifies in one lock-free table lookup per
+/// character, and nothing about the lexeme is kept afterwards.
 #[derive(Debug, Clone)]
 pub struct LexCertifier {
     auto: LexAutomaton,
     matchers: Arc<Vec<LazyDerivMatcher>>,
+    /// Per rule: the snapshot of `matchers[rule]`'s table this
+    /// certifier steps, refreshed only when a lexeme needs a transition
+    /// it lacks.
+    tables: Vec<DerivSnapshot>,
     /// Where the next token must start: the running tiling invariant.
     cursor: usize,
     /// How many tokens have been checked (for error messages).
@@ -407,11 +422,14 @@ impl LexCertifier {
         // match.
         let sigma = spec.alphabet();
         let mut foreign = false;
-        let run = self.matchers[rule_idx].run(text.chars().map_while(|c| {
-            let s = sigma.symbol_of_char(c);
-            foreign |= s.is_none();
-            s
-        }));
+        let run = self.matchers[rule_idx].run(
+            &mut self.tables[rule_idx],
+            text.chars().map_while(|c| {
+                let s = sigma.symbol_of_char(c);
+                foreign |= s.is_none();
+                s
+            }),
+        );
         self.tally.rematch(run.derived);
         if foreign || !run.matched {
             return err(format!(
@@ -735,6 +753,34 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_certifier_opened_before_the_table_grew_catches_up_without_deriving() {
+        let lexer = idents_and_numerals();
+        let doc = "abc12 + 345 + x9y + 0";
+        let lexemes: Vec<_> = lexer.auto.raw_lexemes(doc).map(Result::unwrap).collect();
+        // Opened on the cold lexer: its snapshots hold no transitions.
+        let mut stale = lexer.certifier();
+        let mut grower = lexer.certifier();
+        for l in &lexemes {
+            grower.check_raw(doc, l).unwrap();
+        }
+        assert!(tally(&grower).1 > 0, "the first certifier derives");
+        let grown = derivative_states(&lexer);
+        let mut tokens = Vec::new();
+        for l in &lexemes {
+            stale.check_raw(doc, l).unwrap();
+            tokens.push(l.to_token(doc));
+        }
+        stale.finish(doc).unwrap();
+        assert_eq!(
+            LexedOutcome::Tokens(TokenStream::from_tokens(tokens)),
+            lexer.lex_full(doc).unwrap()
+        );
+        // Refreshing found every transition already derived.
+        assert_eq!(tally(&stale), (lexemes.len() as u64, 0));
+        assert_eq!(derivative_states(&lexer), grown);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * [`derivative`] — Brzozowski derivatives, the unverified baseline the
 //!   benchmarks compare against;
 //! * [`lazy`] — the same derivatives with memoized states and
-//!   transitions, fast enough to re-match every lexeme incrementally;
+//!   transitions, read through lock-free snapshots, fast enough to
+//!   re-match every lexeme incrementally from many threads;
 //! * [`thompson`] — Construction 4.11: regex → NFA with a *strong*
 //!   equivalence between regex parses and accepting traces;
 //! * [`pipeline`] — Corollary 4.12: the composed verified parser

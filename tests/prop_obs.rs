@@ -357,6 +357,10 @@ fn exporters_parse_back_and_stay_stable() {
         stats.misses
     );
     assert_eq!(prom_value(&text, "lambekd_requests_total"), 3);
+    assert_eq!(
+        prom_value(&text, "lambekd_pool_panics_total"),
+        engine.engine_stats().pool.panics
+    );
     // Every `# TYPE` family actually emits at least one sample.
     for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
         let name = line.split(' ').nth(2).expect("TYPE lines name a metric");

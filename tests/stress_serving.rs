@@ -136,6 +136,7 @@ fn concurrent_batches_lose_nothing_and_counters_balance() {
         stats.pool.submitted, stats.pool.executed,
         "pool lost or invented work"
     );
+    assert_eq!(stats.pool.panics, 0, "no request may panic under load");
     assert_eq!(
         stats.pool.batches,
         (THREADS * ROUNDS) as u64,
@@ -161,6 +162,7 @@ fn concurrent_batches_lose_nothing_and_counters_balance() {
         "lambekd_cache_misses_total",
         "lambekd_pool_submitted_total",
         "lambekd_pool_steals_total",
+        "lambekd_pool_panics_total",
         "lambekd_pool_queue_depth",
         "lambekd_requests_total",
     ] {
