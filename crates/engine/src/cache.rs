@@ -240,11 +240,20 @@ mod tests {
         // Two synthetic entries with a 100:1 cost ratio: after evicting
         // down to one, the survivor must be the expensive pipeline even
         // though the cheap one was touched more recently.
+        // The costs are injected, not measured: a wall-clock compile
+        // time depends on what else the machine is running.
         let mut cache = PipelineCache::new(CacheConfig::unbounded());
         let costly = PipelineSpec::arith_lexed();
         let cheap = PipelineSpec::dyck(3);
-        cache.insert(costly.clone(), compiled(&costly));
-        cache.insert(cheap.clone(), compiled(&cheap));
+        let weighed = |spec: &PipelineSpec, us: u64| {
+            Arc::new(
+                spec.compile()
+                    .expect("test specs compile")
+                    .with_compile_time(Duration::from_micros(us)),
+            )
+        };
+        cache.insert(costly.clone(), weighed(&costly, 500));
+        cache.insert(cheap.clone(), weighed(&cheap, 5));
         let ratio = {
             let c = cache.map.get(&costly).unwrap().cost_us;
             let d = cache.map.get(&cheap).unwrap().cost_us;

@@ -37,9 +37,11 @@ use lambek_core::grammar::tape::ParseTape;
 use lambek_core::theory::parser::{ParseOutcome, VerifiedParser};
 use lambek_core::transform::TransformError;
 use lambek_lex::{
-    CertifiedLexer, LexCertifier, LexError, LexSpec, RawLexeme, Span, TokenSink, TokenStream,
+    CertifiedLexer, LexCertifier, LexCertifyError, LexError, LexSpec, LexedOutcome, RawLexeme,
+    Span, Token, TokenSink, TokenStream,
 };
-use lambek_lr::{CertifiedLrParser, LrConflictReport, LrOutcome, LrSink};
+use lambek_lr::{CertifiedLrParser, CertifyError, LrConflictReport, LrOutcome, LrSink};
+use lambek_obs::{NoopRecorder, Recorder, Stage};
 use regex_grammars::ast::parse_regex;
 use regex_grammars::pipeline::RegexParser;
 
@@ -483,10 +485,7 @@ impl CfgBackend {
     /// input before being returned. `None` is a rejection.
     fn parse_certified(&self, w: &GString) -> Result<Option<Accepted>, TransformError> {
         Ok(match &self.mode {
-            CfgMode::Lr(lr) => match lr.parse(w).map_err(|e| TransformError::OutputShape {
-                transformer: "certified-lr".to_owned(),
-                cause: e.cause,
-            })? {
+            CfgMode::Lr(lr) => match lr.parse(w).map_err(lr_contract)? {
                 LrOutcome::Accept(tape) => Some(Accepted::Tape(tape)),
                 LrOutcome::Reject(_) => None,
             },
@@ -611,36 +610,115 @@ pub struct LexedCfgBackend {
     inner: CfgBackend,
 }
 
-/// The fused lex→certify→LR consumer: the byte-sliced scanner's
-/// [`TokenSink`] for [`LexedCfgBackend::parse_str`]. Each lexeme is
-/// certified *by span* (no text materialized) and its symbol shifted
-/// straight into the LR machine; skip lexemes certify and vanish.
-///
-/// A certification failure aborts the lex (the sink's error plane); an
-/// LR rejection does *not* — the LR side goes dead, lexing continues
-/// to its own verdict so a later unlexable byte keeps priority, and
-/// the span of the first refused shift is kept for the rejection
-/// report.
-struct FusedSink {
-    cert: LexCertifier,
-    lrs: LrSink,
-    /// Span (in the raw input) of the yield token whose shift the LR
-    /// machine first refused, if any.
-    reject_span: Option<Span>,
+/// A lexer certification failure, as the pipeline reports it.
+pub(crate) fn lexer_contract(e: LexCertifyError) -> TransformError {
+    TransformError::Custom(format!("certified-lexer contract violation: {e}"))
 }
 
-impl TokenSink for FusedSink {
+/// An LR certification failure, as the pipeline reports it.
+fn lr_contract(e: CertifyError) -> TransformError {
+    TransformError::OutputShape {
+        transformer: "certified-lr".to_owned(),
+        cause: e.cause,
+    }
+}
+
+/// The end of an LR run over a lexed yield as a raw-text outcome.
+/// `refused` is the span of the yield token whose shift the LR machine
+/// first refused; `None` (every shift succeeded and only the final
+/// accept was refused) reports the empty span at the end of the input.
+fn lr_str_outcome(
+    out: Result<LrOutcome, CertifyError>,
+    refused: Option<Span>,
+    tokens: Option<TokenStream>,
+    input_len: usize,
+) -> Result<StrOutcome, TransformError> {
+    Ok(match out.map_err(lr_contract)? {
+        LrOutcome::Accept(tree) => StrOutcome::Accept { tree, tokens },
+        LrOutcome::Reject(r) => StrOutcome::RejectParse {
+            span: refused.unwrap_or_else(|| Span::empty(input_len)),
+            message: r.to_string(),
+            tokens,
+        },
+    })
+}
+
+/// Runs `f` as one stage of a traced parse: timed into `rec` when the
+/// recorder keeps spans, run bare (no clock reads) when it does not.
+fn stage<R: Recorder, T>(rec: &mut R, stage: Stage, epoch: Instant, f: impl FnOnce() -> T) -> T {
+    if !R::RECORDS {
+        return f();
+    }
+    let start = epoch.elapsed();
+    let out = f();
+    rec.record(stage, start, epoch.elapsed().saturating_sub(start));
+    out
+}
+
+/// One certified run of a lexed pipeline over raw text. Every raw-text
+/// entrance feeds one of these, lexeme by lexeme, through one step
+/// ([`TokenSink::lexeme`]): certify the lexeme by span (tiling cursor
+/// plus derivative re-match, no text copied), then shift its yield
+/// symbol into the LR sink, then keep the token if a collector is
+/// open. Skip lexemes certify and shift nothing.
+///
+/// A certification failure aborts the run (the sink's error plane); an
+/// LR rejection does *not* — the LR side goes dead, lexing continues to
+/// its own verdict so a later unlexable byte keeps priority, and the
+/// span of the first refused shift is kept for the rejection report.
+struct LexedRun<'p> {
+    backend: &'p LexedCfgBackend,
+    cert: LexCertifier,
+    /// The LR machine the yield is shifted into; `None` on the Earley
+    /// fallback, which parses the collected tokens whole at the end.
+    lr: Option<LrSink>,
+    /// The certified tokens, when the caller (or the Earley fallback)
+    /// wants the stream.
+    tokens: Option<Vec<Token>>,
+    /// Span (in the raw input) of the yield token whose shift the LR
+    /// machine first refused, if any.
+    refused: Option<Span>,
+}
+
+impl LexedRun<'_> {
+    /// The certification half of the step.
+    fn certify(&mut self, input: &str, lexeme: &RawLexeme) -> Result<(), TransformError> {
+        self.cert.check_raw(input, lexeme).map_err(lexer_contract)
+    }
+
+    /// The shift half of the step: the yield symbol into the LR sink,
+    /// the token into the collector.
+    fn shift(&mut self, input: &str, lexeme: RawLexeme) {
+        if let (Some(sym), Some(lr)) = (lexeme.sym, &mut self.lr) {
+            if !lr.push(sym) && self.refused.is_none() {
+                self.refused = Some(lexeme.span);
+            }
+        }
+        if let Some(tokens) = &mut self.tokens {
+            tokens.push(lexeme.to_token(input));
+        }
+    }
+
+    /// Ends the run: closes the tiling invariant, then the parse.
+    fn finish(self, input: &str) -> Result<StrOutcome, TransformError> {
+        self.cert.finish(input).map_err(lexer_contract)?;
+        let tokens = self.tokens.map(TokenStream::from_tokens);
+        match self.lr {
+            Some(lr) => lr_str_outcome(lr.finish(), self.refused, tokens, input.len()),
+            None => self.backend.earley_outcome(
+                tokens.expect("the Earley fallback collects its tokens"),
+                input.len(),
+            ),
+        }
+    }
+}
+
+impl TokenSink for LexedRun<'_> {
     type Err = TransformError;
 
     fn lexeme(&mut self, input: &str, lexeme: RawLexeme) -> Result<(), TransformError> {
-        self.cert.check_raw(input, &lexeme).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        if let Some(sym) = lexeme.sym {
-            if !self.lrs.push(sym) && self.reject_span.is_none() {
-                self.reject_span = Some(lexeme.span);
-            }
-        }
+        self.certify(input, &lexeme)?;
+        self.shift(input, lexeme);
         Ok(())
     }
 }
@@ -659,18 +737,17 @@ impl LexedCfgBackend {
     /// Lexes `input` and parses the token string, certifying both
     /// layers. Rejections carry byte offsets into `input`.
     ///
-    /// On LR-backed grammars this is the *fused* hot path: the
-    /// byte-sliced scanner pushes each lexeme through span-based
-    /// certification (running tiling cursor plus memoized derivative
-    /// re-match, no text copied) and shifts its symbol straight into
-    /// the LR stack — whose reductions are themselves certified as
-    /// performed — with no `Vec<Token>`, no [`TokenStream`] and no
-    /// per-token `String` ever allocated; accordingly the outcome's
-    /// `tokens` field is `None`. Use
-    /// [`LexedCfgBackend::parse_str_tokens`] when the caller wants the
-    /// certified stream itself. The Earley fallback (and
-    /// [`LexedCfgBackend::parse_str_full`]) still runs the original
-    /// two-pass form.
+    /// This is the *fused* hot path: the byte-sliced scanner hands each
+    /// lexeme to one certified run, which certifies it by span (running
+    /// tiling cursor plus memoized derivative re-match, no text copied)
+    /// and shifts its symbol straight into the LR stack — whose
+    /// reductions are themselves certified as performed — with no
+    /// `Vec<Token>`, no [`TokenStream`] and no per-token `String` ever
+    /// allocated; accordingly the outcome's `tokens` field is `None`.
+    /// Use [`LexedCfgBackend::parse_str_tokens`] when the caller wants
+    /// the certified stream itself. The Earley fallback needs the whole
+    /// token string, so there the run collects it and the outcome
+    /// carries it.
     ///
     /// # Errors
     ///
@@ -678,211 +755,106 @@ impl LexedCfgBackend {
     /// LR/validation internal error. "Not in the language" is an `Ok`
     /// rejection.
     pub fn parse_str(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let CfgMode::Lr(lr) = &self.inner.mode else {
-            // Earley needs the whole token string anyway.
-            return self.parse_str_full(input);
-        };
-        let mut sink = FusedSink {
-            cert: self.lexer.certifier(),
-            // A loose lower bound on the yield length: arithmetic-style
-            // inputs average a handful of bytes per yield token, so the
-            // LR machine's stacks mostly avoid regrowth without
-            // over-reserving on token-sparse inputs.
-            lrs: lr.sink_with_capacity(input.len() / 8),
-            reject_span: None,
-        };
-        // Lex errors keep priority over LR rejections, exactly as in
-        // the two-pass form (where lexing ran to completion first) — a
-        // doomed LR stack never masks a later unlexable byte, because
-        // the sink's LR side just goes (and stays) dead while lexing
-        // continues.
-        if let Err(e) = self.lexer.automaton().lex_into(input, &mut sink)? {
-            return Ok(StrOutcome::RejectLex(e));
-        }
-        sink.cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        match sink.lrs.finish().map_err(|e| TransformError::OutputShape {
-            transformer: "certified-lr".to_owned(),
-            cause: e.cause,
-        })? {
-            LrOutcome::Accept(tree) => Ok(StrOutcome::Accept { tree, tokens: None }),
-            LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
-                // The span of the yield token whose shift the LR stack
-                // first refused — the same token `span_of_yield` finds
-                // on the materializing paths — or the empty span at the
-                // end of input when every shift succeeded and only the
-                // final accept was refused.
-                span: sink.reject_span.unwrap_or_else(|| Span::empty(input.len())),
-                message: r.to_string(),
-                tokens: None,
-            }),
-        }
-    }
-
-    /// [`LexedCfgBackend::parse_str`] in *staged* form with per-stage
-    /// spans recorded into `rec` (offsets measured from `epoch`): the
-    /// scan collects the whole lexeme chain, certification re-validates
-    /// it in a second pass, and the parse drives the LR machine (or the
-    /// Earley fallback) in a third — so the scan / certify / parse
-    /// stages can be timed separately, which the fused single-pass form
-    /// cannot do. Observationally identical to
-    /// [`LexedCfgBackend::parse_str`]: same outcome — verdict, tree,
-    /// spans, token reporting — on every input (asserted by the
-    /// `prop_obs` differential suite).
-    ///
-    /// # Errors
-    ///
-    /// As [`LexedCfgBackend::parse_str`].
-    pub(crate) fn parse_str_staged<R: lambek_obs::Recorder>(
-        &self,
-        input: &str,
-        epoch: Instant,
-        rec: &mut R,
-    ) -> Result<StrOutcome, TransformError> {
-        use lambek_obs::Stage;
-        let s0 = epoch.elapsed();
-        let scanned: Result<Vec<RawLexeme>, LexError> =
-            self.lexer.automaton().raw_lexemes(input).collect();
-        rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-        let lexemes = match scanned {
-            Ok(ls) => ls,
-            Err(e) => return Ok(StrOutcome::RejectLex(e)),
-        };
-        let c0 = epoch.elapsed();
-        let mut cert = self.lexer.certifier();
-        for l in &lexemes {
-            cert.check_raw(input, l).map_err(|e| {
-                TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-            })?;
-        }
-        cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })?;
-        rec.record(Stage::Certify, c0, epoch.elapsed().saturating_sub(c0));
-        let p0 = epoch.elapsed();
-        let out = self.parse_lexeme_chain(input, &lexemes);
-        rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        out
-    }
-
-    /// The parse stage of [`LexedCfgBackend::parse_str_staged`]: drives
-    /// an already-certified lexeme chain through the CFG backend,
-    /// reproducing [`LexedCfgBackend::parse_str`]'s outcomes exactly
-    /// (LR: token stream never materialized, rejection span = first
-    /// refused shift; Earley: materializing, as `parse_str_full`).
-    fn parse_lexeme_chain(
-        &self,
-        input: &str,
-        lexemes: &[RawLexeme],
-    ) -> Result<StrOutcome, TransformError> {
-        match &self.inner.mode {
-            CfgMode::Lr(lr) => {
-                let mut lrs = lr.sink_with_capacity(lexemes.len());
-                let mut reject_span = None;
-                for l in lexemes {
-                    if let Some(sym) = l.sym {
-                        if !lrs.push(sym) && reject_span.is_none() {
-                            reject_span = Some(l.span);
-                        }
-                    }
-                }
-                match lrs.finish().map_err(|e| TransformError::OutputShape {
-                    transformer: "certified-lr".to_owned(),
-                    cause: e.cause,
-                })? {
-                    LrOutcome::Accept(tree) => Ok(StrOutcome::Accept { tree, tokens: None }),
-                    LrOutcome::Reject(r) => Ok(StrOutcome::RejectParse {
-                        span: reject_span.unwrap_or_else(|| Span::empty(input.len())),
-                        message: r.to_string(),
-                        tokens: None,
-                    }),
-                }
-            }
-            CfgMode::Earley { cfg, grammar, .. } => {
-                let tokens =
-                    TokenStream::from_tokens(lexemes.iter().map(|l| l.to_token(input)).collect());
-                let w = tokens.yield_string();
-                match earley_parse(cfg, w) {
-                    EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-                        validate(&tree, grammar, w).map_err(|cause| {
-                            TransformError::OutputShape {
-                                transformer: "earley-fallback".to_owned(),
-                                cause,
-                            }
-                        })?;
-                        Ok(StrOutcome::Accept {
-                            tree: ParseTape::from_tree(&tree),
-                            tokens: Some(tokens),
-                        })
-                    }
-                    EarleyParse::NoParse => Ok(StrOutcome::RejectParse {
-                        span: Span {
-                            start: 0,
-                            end: input.len(),
-                        },
-                        message: "token string is not in the grammar (Earley fallback)".to_owned(),
-                        tokens: Some(tokens),
-                    }),
-                }
-            }
-        }
+        self.parse_str_traced(input, false, Instant::now(), &mut NoopRecorder)
     }
 
     /// [`LexedCfgBackend::parse_str`] materializing the certified
-    /// [`TokenStream`] alongside the outcome — the original incremental
-    /// two-layer path: each token is certified at its munch boundary
-    /// and shifted into the LR stream, and the collected tokens ride
-    /// along in the outcome's `tokens` field. Callers that only need
-    /// the verdict and tree should prefer the fused
-    /// [`LexedCfgBackend::parse_str`].
+    /// [`TokenStream`] alongside the outcome: the same run with its
+    /// token collector open, so the tokens ride along in the outcome's
+    /// `tokens` field. Callers that only need the verdict and tree
+    /// should prefer the fused [`LexedCfgBackend::parse_str`].
     ///
     /// # Errors
     ///
     /// As [`LexedCfgBackend::parse_str`].
     pub fn parse_str_tokens(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let CfgMode::Lr(lr) = &self.inner.mode else {
-            // Earley needs the whole token string anyway.
-            return self.parse_str_full(input);
+        self.parse_str_traced(input, true, Instant::now(), &mut NoopRecorder)
+    }
+
+    /// Opens a run: `capacity` pre-sizes the LR machine, `collect`
+    /// keeps the certified tokens (always kept on the Earley fallback).
+    fn run(&self, capacity: usize, collect: bool) -> LexedRun<'_> {
+        let lr = self.inner.lr().map(|lr| lr.sink_with_capacity(capacity));
+        LexedRun {
+            backend: self,
+            cert: self.lexer.certifier(),
+            tokens: (collect || lr.is_none()).then(Vec::new),
+            lr,
+            refused: None,
+        }
+    }
+
+    /// The raw-text driver behind every entrance. The recorder's type
+    /// picks the loop order: a [`NoopRecorder`] runs the fused form
+    /// (the scanner feeds the run's step directly), a recording one the
+    /// staged form — the scan collects the lexeme chain, then the run's
+    /// certify and shift halves each pass over it — so scan, certify
+    /// and parse are timed as separate spans (offsets from `epoch`).
+    /// Both forms run the same steps on the same run, so their
+    /// outcomes agree on every input.
+    ///
+    /// # Errors
+    ///
+    /// As [`LexedCfgBackend::parse_str`].
+    pub(crate) fn parse_str_traced<R: Recorder>(
+        &self,
+        input: &str,
+        collect: bool,
+        epoch: Instant,
+        rec: &mut R,
+    ) -> Result<StrOutcome, TransformError> {
+        let auto = self.lexer.automaton();
+        if !R::RECORDS {
+            // A loose lower bound on the yield length: arithmetic-style
+            // inputs average a handful of bytes per yield token, so the
+            // LR machine's stacks mostly avoid regrowth without
+            // over-reserving on token-sparse inputs.
+            let mut run = self.run(input.len() / 8, collect);
+            return match auto.lex_into(input, &mut run)? {
+                Ok(()) => run.finish(input),
+                Err(e) => Ok(StrOutcome::RejectLex(e)),
+            };
+        }
+        let scanned: Result<Vec<RawLexeme>, LexError> = stage(rec, Stage::Scan, epoch, || {
+            auto.raw_lexemes(input).collect()
+        });
+        let lexemes = match scanned {
+            Ok(ls) => ls,
+            Err(e) => return Ok(StrOutcome::RejectLex(e)),
         };
-        let mut cert = self.lexer.certifier();
-        let mut lrs = lr.stream();
-        let mut tokens = Vec::new();
-        for item in self.lexer.automaton().lexemes(input) {
-            match item {
-                Err(e) => return Ok(StrOutcome::RejectLex(e)),
-                Ok(t) => {
-                    cert.check(input, &t).map_err(|e| {
-                        TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-                    })?;
-                    if let Some(sym) = t.sym {
-                        lrs.push(sym);
-                    }
-                    tokens.push(t);
-                }
-            }
-        }
-        cert.finish(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
+        let mut run = self.run(lexemes.len(), collect);
+        stage(rec, Stage::Certify, epoch, || {
+            lexemes.iter().try_for_each(|l| run.certify(input, l))
         })?;
-        let tokens = TokenStream::from_tokens(tokens);
-        match lrs.finish().map_err(|e| TransformError::OutputShape {
-            transformer: "certified-lr".to_owned(),
-            cause: e.cause,
-        })? {
-            LrOutcome::Accept(tree) => Ok(StrOutcome::Accept {
-                tree,
-                tokens: Some(tokens),
-            }),
-            LrOutcome::Reject(r) => {
-                let span = tokens.span_of_yield(r.at, input.len());
-                Ok(StrOutcome::RejectParse {
-                    span,
-                    message: r.to_string(),
-                    tokens: Some(tokens),
-                })
+        stage(rec, Stage::Parse, epoch, || {
+            for &l in &lexemes {
+                run.shift(input, l);
             }
-        }
+            run.finish(input)
+        })
+    }
+
+    /// The Earley fallback's verdict on a certified token stream (Earley
+    /// has no error position, so a rejection spans the whole input).
+    fn earley_outcome(
+        &self,
+        tokens: TokenStream,
+        input_len: usize,
+    ) -> Result<StrOutcome, TransformError> {
+        Ok(match self.inner.parse_certified(tokens.yield_string())? {
+            Some(accepted) => StrOutcome::Accept {
+                tree: accepted.into_tape(),
+                tokens: Some(tokens),
+            },
+            None => StrOutcome::RejectParse {
+                span: Span {
+                    start: 0,
+                    end: input_len,
+                },
+                message: "token string is not in the grammar (Earley fallback)".to_owned(),
+                tokens: Some(tokens),
+            },
+        })
     }
 
     /// [`LexedCfgBackend::parse_str`] with both layers on their full
@@ -895,52 +867,19 @@ impl LexedCfgBackend {
     ///
     /// As [`LexedCfgBackend::parse_str`].
     pub fn parse_str_full(&self, input: &str) -> Result<StrOutcome, TransformError> {
-        let tokens = match self.lexer.lex_full(input).map_err(|e| {
-            TransformError::Custom(format!("certified-lexer contract violation: {e}"))
-        })? {
-            lambek_lex::LexedOutcome::Reject(e) => return Ok(StrOutcome::RejectLex(e)),
-            lambek_lex::LexedOutcome::Tokens(ts) => ts,
+        let tokens = match self.lexer.lex_full(input).map_err(lexer_contract)? {
+            LexedOutcome::Reject(e) => return Ok(StrOutcome::RejectLex(e)),
+            LexedOutcome::Tokens(ts) => ts,
         };
-        let w = tokens.yield_string();
-        match &self.inner.mode {
-            CfgMode::Lr(lr) => match lr.parse_full(w).map_err(|e| TransformError::OutputShape {
-                transformer: "certified-lr".to_owned(),
-                cause: e.cause,
-            })? {
-                LrOutcome::Accept(tree) => Ok(StrOutcome::Accept {
-                    tree,
-                    tokens: Some(tokens),
-                }),
-                LrOutcome::Reject(r) => {
-                    let span = tokens.span_of_yield(r.at, input.len());
-                    Ok(StrOutcome::RejectParse {
-                        span,
-                        message: r.to_string(),
-                        tokens: Some(tokens),
-                    })
-                }
-            },
-            CfgMode::Earley { cfg, grammar, .. } => match earley_parse(cfg, w) {
-                EarleyParse::Unique(tree) | EarleyParse::Ambiguous { tree, .. } => {
-                    validate(&tree, grammar, w).map_err(|cause| TransformError::OutputShape {
-                        transformer: "earley-fallback".to_owned(),
-                        cause,
-                    })?;
-                    Ok(StrOutcome::Accept {
-                        tree: ParseTape::from_tree(&tree),
-                        tokens: Some(tokens),
-                    })
-                }
-                EarleyParse::NoParse => Ok(StrOutcome::RejectParse {
-                    span: Span {
-                        start: 0,
-                        end: input.len(),
-                    },
-                    message: "token string is not in the grammar (Earley fallback)".to_owned(),
-                    tokens: Some(tokens),
-                }),
-            },
-        }
+        let CfgMode::Lr(lr) = &self.inner.mode else {
+            return self.earley_outcome(tokens, input.len());
+        };
+        let out = lr.parse_full(tokens.yield_string());
+        let refused = match &out {
+            Ok(LrOutcome::Reject(r)) => Some(tokens.span_of_yield(r.at, input.len())),
+            _ => None,
+        };
+        lr_str_outcome(out, refused, Some(tokens), input.len())
     }
 }
 
@@ -1072,19 +1011,39 @@ impl CompiledPipeline {
     /// Contract violations of the underlying transformers, exactly as
     /// [`CompiledPipeline::parse`].
     pub fn parse_str(&self, input: &str) -> Result<StrOutcome, TransformError> {
+        self.parse_str_traced(input, Instant::now(), &mut NoopRecorder)
+    }
+
+    /// [`CompiledPipeline::parse_str`] with per-stage spans recorded
+    /// into `rec` (offsets measured from `epoch`); `parse_str` is this
+    /// with a [`NoopRecorder`]. Lexed pipelines run
+    /// [`LexedCfgBackend::parse_str_traced`] (staged scan / certify /
+    /// parse when recording, fused otherwise); other pipelines record a
+    /// scan span (char-per-symbol reading) and a parse span.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledPipeline::parse_str`].
+    pub(crate) fn parse_str_traced<R: Recorder>(
+        &self,
+        input: &str,
+        epoch: Instant,
+        rec: &mut R,
+    ) -> Result<StrOutcome, TransformError> {
         if let ParserImpl::LexedCfg(b) = &self.imp {
-            return b.parse_str(input);
+            return b.parse_str_traced(input, false, epoch, rec);
         }
-        // Char-per-symbol reading for the other pipelines.
         let sigma = self.alphabet();
-        let mut w = GString::new();
-        for (at, c) in input.char_indices() {
-            match sigma.symbol_of_char(c) {
-                Some(sym) => w.push(sym),
-                None => return Ok(StrOutcome::RejectLex(LexError { at, found: c })),
-            }
+        let read: Result<GString, LexError> = stage(rec, Stage::Scan, epoch, || {
+            input
+                .char_indices()
+                .map(|(at, c)| sigma.symbol_of_char(c).ok_or(LexError { at, found: c }))
+                .collect()
+        });
+        match read {
+            Ok(w) => stage(rec, Stage::Parse, epoch, || self.parse_chars(input, &w)),
+            Err(e) => Ok(StrOutcome::RejectLex(e)),
         }
-        self.parse_chars(input, &w)
     }
 
     /// Parses the char-per-symbol reading `w` of `input` (non-lexed
@@ -1111,46 +1070,6 @@ impl CompiledPipeline {
         })
     }
 
-    /// [`CompiledPipeline::parse_str`] with per-stage spans recorded
-    /// into `rec` (offsets measured from `epoch`). Observationally
-    /// identical — same outcome on every input — but lexed LR
-    /// pipelines run in staged form
-    /// ([`LexedCfgBackend::parse_str_staged`]) so scan, certify and
-    /// parse are timed as separate spans; other pipelines record a
-    /// scan span (char-per-symbol reading) and a parse span.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledPipeline::parse_str`].
-    pub(crate) fn parse_str_traced<R: lambek_obs::Recorder>(
-        &self,
-        input: &str,
-        epoch: Instant,
-        rec: &mut R,
-    ) -> Result<StrOutcome, TransformError> {
-        use lambek_obs::Stage;
-        if let ParserImpl::LexedCfg(b) = &self.imp {
-            return b.parse_str_staged(input, epoch, rec);
-        }
-        let s0 = epoch.elapsed();
-        let sigma = self.alphabet();
-        let mut w = GString::new();
-        for (at, c) in input.char_indices() {
-            match sigma.symbol_of_char(c) {
-                Some(sym) => w.push(sym),
-                None => {
-                    rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-                    return Ok(StrOutcome::RejectLex(LexError { at, found: c }));
-                }
-            }
-        }
-        rec.record(Stage::Scan, s0, epoch.elapsed().saturating_sub(s0));
-        let p0 = epoch.elapsed();
-        let parsed = self.parse_chars(input, &w)?;
-        rec.record(Stage::Parse, p0, epoch.elapsed().saturating_sub(p0));
-        Ok(parsed)
-    }
-
     /// Fast acceptance check: a dense-table DFA or LR run when one is
     /// available, otherwise a full parse.
     ///
@@ -1172,24 +1091,17 @@ impl CompiledPipeline {
     /// Fast raw-text acceptance: lex, then the recognition-only table
     /// run (no trees, no certification — use
     /// [`CompiledPipeline::parse_str`] for the certified answer). Lexed
-    /// pipelines pull lexemes lazily and keep only the token-level
-    /// yield, never materializing a [`TokenStream`].
+    /// pipelines pull raw lexemes lazily and keep only the token-level
+    /// yield, never materializing a token or its text.
     pub fn accepts_str(&self, input: &str) -> bool {
         match &self.imp {
-            ParserImpl::LexedCfg(b) => {
-                let mut w = GString::new();
-                for item in b.lexer.automaton().lexemes(input) {
-                    match item {
-                        Err(_) => return false,
-                        Ok(t) => {
-                            if let Some(sym) = t.sym {
-                                w.push(sym);
-                            }
-                        }
-                    }
-                }
-                b.inner.accepts(&w)
-            }
+            ParserImpl::LexedCfg(b) => b
+                .lexer
+                .automaton()
+                .raw_lexemes(input)
+                .filter_map(|l| l.map(|l| l.sym).transpose())
+                .collect::<Result<GString, LexError>>()
+                .is_ok_and(|w| b.inner.accepts(&w)),
             _ => self
                 .alphabet()
                 .parse_str(input)
@@ -1203,6 +1115,15 @@ mod tests {
     use super::*;
     use lambek_cfg::dyck::{dyck_cfg, parse_dyck_string, Parens};
     use lambek_cfg::grammar::{GSym, Production};
+
+    impl CompiledPipeline {
+        /// This pipeline with its compile time replaced, so cache tests
+        /// weigh entries by injected costs rather than by the clock.
+        pub(crate) fn with_compile_time(mut self, compile_time: Duration) -> CompiledPipeline {
+            self.compile_time = compile_time;
+            self
+        }
+    }
 
     #[test]
     // `Cfg`'s μ-encoding memo gives `PipelineSpec` interior mutability in

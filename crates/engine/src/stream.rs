@@ -51,7 +51,7 @@ use lambek_core::transform::TransformError;
 use lambek_lex::{LexCertifier, LexCertifyError, LexStream, LexStreamState, Span, Token};
 use lambek_lr::{CertifyError, ClaimRef, LrOutcome, LrStream, LrStreamState};
 
-use crate::pipeline::CompiledPipeline;
+use crate::pipeline::{lexer_contract, CompiledPipeline};
 use crate::session::{self, Reader, SessionError, SessionState, Writer};
 use crate::EngineError;
 
@@ -740,9 +740,7 @@ impl StreamParser {
                 // Layer 1 ran per token as the characters were pushed: a
                 // violation recorded at any munch boundary surfaces now.
                 if let Some(e) = lex_fault {
-                    return Err(TransformError::Custom(format!(
-                        "certified-lexer contract violation: {e}"
-                    )));
+                    return Err(lexer_contract(e));
                 }
                 let raw = lex.raw_input().to_owned();
                 let flushed = match lex.finish() {
@@ -772,9 +770,7 @@ impl StreamParser {
                     }
                 }
                 if let Some(e) = lex_fault {
-                    return Err(TransformError::Custom(format!(
-                        "certified-lexer contract violation: {e}"
-                    )));
+                    return Err(lexer_contract(e));
                 }
                 // Layer 2: the LR reductions were certified as they
                 // were performed; finish only closes the lone-start

@@ -16,11 +16,17 @@
 //! invalid tree; it surfaces as a [`CertifyError`] *at the offending
 //! step*.
 //!
-//! The pre-incremental path — run the driver blind, then `validate` the
-//! whole tree at the end — is retained behind
+//! There is one push driver, [`LrSink`], and it carries the claims
+//! policy: certify every step, or run blind. Every entrance is that
+//! sink over some input — [`CertifiedLrParser::parse`] pushes a whole
+//! string into a certifying sink, [`CertifiedLrParser::parse_unchecked`]
+//! into a blind one, and [`LrStream`] is a sink plus the input it
+//! retained (for snapshots and acceptance probes). The pre-incremental
+//! path — run blind, then `validate` the whole tree at the end — is
+//! the blind sink finished against its input, behind
 //! [`CertifiedLrParser::parse_full`] and
 //! [`CertifiedLrParser::stream_full`]; the differential property suite
-//! asserts the two paths accept and reject identically.
+//! asserts the two policies accept and reject identically.
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,8 +38,8 @@ use lambek_core::grammar::parse_tree::{validate, ParseTree, ValidateError};
 use lambek_core::grammar::tape::ParseTape;
 
 use crate::driver::{
-    parse_tape, recognize_states, would_accept_after_states, would_accept_states, CertTables,
-    ClaimRef, Machine, SabotageLr, Step,
+    recognize_states, would_accept_after_states, would_accept_states, CertTables, ClaimRef,
+    Machine, SabotageLr, Step,
 };
 use crate::table::{LrConflictReport, LrTable};
 
@@ -175,11 +181,7 @@ impl CertifiedLrParser {
     /// checker rejects — impossible for a correctly constructed table,
     /// surfaced instead of trusted.
     pub fn parse(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tape(&self.core.table, &self.core.cfg, Some(&self.core.cert), w) {
-            Ok(Ok(tree)) => Ok(LrOutcome::Accept(tree)),
-            Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
-            Err(cause) => Err(CertifyError { cause }),
-        }
+        self.run(true, w).finish()
     }
 
     /// The `full_validate` path: runs the driver blind and re-validates
@@ -192,15 +194,7 @@ impl CertifiedLrParser {
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
     pub fn parse_full(&self, w: &GString) -> Result<LrOutcome, CertifyError> {
-        match parse_tape(&self.core.table, &self.core.cfg, None, w) {
-            Ok(Ok(tree)) => {
-                validate(&tree.to_tree(), &self.core.grammar, w)
-                    .map_err(|cause| CertifyError { cause })?;
-                Ok(LrOutcome::Accept(tree))
-            }
-            Ok(Err(reject)) => Ok(LrOutcome::Reject(reject)),
-            Err(_) => unreachable!("the uncertified driver never faults"),
-        }
+        self.run(false, w).finish_against(w)
     }
 
     /// The uncertified baseline: the same shift-reduce run and tree
@@ -210,11 +204,21 @@ impl CertifiedLrParser {
     /// tree-producing parse) from the cost of certifying it.
     #[doc(hidden)]
     pub fn parse_unchecked(&self, w: &GString) -> LrOutcome {
-        match parse_tape(&self.core.table, &self.core.cfg, None, w) {
-            Ok(Ok(tree)) => LrOutcome::Accept(tree),
-            Ok(Err(reject)) => LrOutcome::Reject(reject),
-            Err(_) => unreachable!("the uncertified driver never faults"),
+        self.run(false, w)
+            .finish()
+            .expect("the uncertified driver never faults")
+    }
+
+    /// Pushes `w` into a fresh sink under the given claims policy,
+    /// stopping at the first refused symbol.
+    fn run(&self, certify: bool, w: &GString) -> LrSink {
+        let mut sink = self.sink_with(certify, w.len());
+        for sym in w.iter() {
+            if !sink.push(sym) {
+                break;
+            }
         }
+        sink
     }
 
     /// Opens a push-mode stream over this parser, with incremental
@@ -222,12 +226,8 @@ impl CertifiedLrParser {
     /// [`LrStream::finish`] performs no whole-tree validation.
     pub fn stream(&self) -> LrStream {
         LrStream {
-            core: self.core.clone(),
-            machine: Machine::new(),
+            sink: self.sink(),
             input: GString::new(),
-            dead: None,
-            fault: None,
-            full_validate: false,
         }
     }
 
@@ -237,19 +237,19 @@ impl CertifiedLrParser {
     /// harness.
     pub fn stream_full(&self) -> LrStream {
         LrStream {
-            full_validate: true,
-            ..self.stream()
+            sink: self.sink_with(false, 0),
+            input: GString::new(),
         }
     }
 
-    /// Opens a fused-path sink over this parser: the incremental-
-    /// certification machine and nothing else. Unlike [`LrStream`], a
-    /// sink does not retain the pushed input (no per-push `GString`
-    /// growth) and supports no snapshot/resume or acceptance probes —
-    /// it exists so a lexer can feed shifts straight into the LR stack
-    /// with zero bookkeeping beyond the parse itself. Rejections carry
-    /// the *index* of the offending pushed symbol; the caller (which
-    /// knows each symbol's provenance) maps that back to source spans.
+    /// Opens a push sink over this parser: the incremental-certification
+    /// machine and nothing else. Unlike [`LrStream`], a sink does not
+    /// retain the pushed input (no per-push `GString` growth) and
+    /// supports no snapshot/resume or acceptance probes — it exists so a
+    /// lexer can feed shifts straight into the LR stack with zero
+    /// bookkeeping beyond the parse itself. Rejections carry the *index*
+    /// of the offending pushed symbol; the caller (which knows each
+    /// symbol's provenance) maps that back to source spans.
     pub fn sink(&self) -> LrSink {
         self.sink_with_capacity(0)
     }
@@ -257,9 +257,16 @@ impl CertifiedLrParser {
     /// [`CertifiedLrParser::sink`] with both machine stacks pre-sized
     /// for roughly `n` pushes (a hint, not a bound).
     pub fn sink_with_capacity(&self, n: usize) -> LrSink {
+        self.sink_with(true, n)
+    }
+
+    /// A sink under a claims policy: `certify` checks every step as it
+    /// happens; without it the machine runs blind.
+    fn sink_with(&self, certify: bool, n: usize) -> LrSink {
         LrSink {
             core: self.core.clone(),
             machine: Machine::with_capacity(n),
+            certify,
             pushed: 0,
             dead: None,
             fault: None,
@@ -267,14 +274,21 @@ impl CertifiedLrParser {
     }
 }
 
-/// The fused lex→LR feed (see [`CertifiedLrParser::sink`]): every push
-/// is a certified shift (plus its pending certified reductions) into
-/// the machine, with no input retention and no other state. Once a
-/// rejection or fault is recorded, later pushes only advance the index.
-#[derive(Debug)]
+/// The LR push driver (see [`CertifiedLrParser::sink`]): every push is
+/// a shift (plus its pending reductions) into the machine, certified
+/// when the sink's claims policy says so. Every parse entrance runs on
+/// it: the one-shot parses push a whole string, [`LrStream`] wraps it
+/// with the retained input, and the engine's fused lexer pushes
+/// lexemes. Once a rejection or fault is recorded, later pushes only
+/// advance the index.
+#[derive(Debug, Clone)]
 pub struct LrSink {
     core: Arc<LrCore>,
     machine: Machine,
+    /// The claims policy: `true` certifies every step as it happens,
+    /// `false` runs the machine blind (the `full_validate` paths check
+    /// the finished tree instead).
+    certify: bool,
     /// How many symbols have been pushed (the index space rejections
     /// are reported in).
     pushed: usize,
@@ -290,33 +304,33 @@ impl LrSink {
     /// remembers the first rejection for [`LrSink::finish`]).
     #[inline]
     pub fn push(&mut self, sym: Symbol) -> bool {
-        if self.dead.is_some() || self.fault.is_some() {
-            self.pushed += 1;
-            return false;
+        if self.is_viable() {
+            self.feed(Some(sym));
         }
-        match self
-            .machine
-            .feed(&self.core.table, Some(&self.core.cert), Some(sym))
-        {
-            Step::Shifted => {
-                self.pushed += 1;
-                true
-            }
+        self.pushed += 1;
+        self.is_viable()
+    }
+
+    /// Feeds the machine one symbol (`None` = end of input) under the
+    /// sink's claims policy, recording a rejection or fault; returns
+    /// the tape on accept.
+    fn feed(&mut self, sym: Option<Symbol>) -> Option<ParseTape> {
+        let cert = self.certify.then_some(&self.core.cert);
+        match self.machine.feed(&self.core.table, cert, sym) {
+            Step::Shifted => None,
+            Step::Accepted(tape) => Some(tape),
             Step::Rejected { state } => {
                 self.dead = Some(crate::driver::LrReject {
                     at: self.pushed,
                     state,
                     expected: self.core.table.expected_in(&self.core.cfg, state),
                 });
-                self.pushed += 1;
-                false
+                None
             }
             Step::Faulted(cause) => {
                 self.fault = Some(CertifyError { cause });
-                self.pushed += 1;
-                false
+                None
             }
-            Step::Accepted(_) => unreachable!("accept lives in the EOF column only"),
         }
     }
 
@@ -331,40 +345,48 @@ impl LrSink {
         self.dead.is_none() && self.fault.is_none()
     }
 
-    /// Ends the input: runs the remaining certified reductions.
-    /// Rejections report `at` as a pushed-symbol index (`pushed()` for
-    /// "the input ended while more was expected").
+    /// Ends the input: runs the remaining reductions (certified under
+    /// the sink's policy). Rejections report `at` as a pushed-symbol
+    /// index (`pushed()` for "the input ended while more was
+    /// expected").
     ///
     /// # Errors
     ///
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
     pub fn finish(mut self) -> Result<LrOutcome, CertifyError> {
+        let tape = if self.is_viable() {
+            self.feed(None)
+        } else {
+            None
+        };
         if let Some(fault) = self.fault {
             return Err(fault);
         }
-        if let Some(reject) = self.dead {
-            return Ok(LrOutcome::Reject(reject));
+        match (tape, self.dead) {
+            (Some(tape), _) => Ok(LrOutcome::Accept(tape)),
+            (None, Some(reject)) => Ok(LrOutcome::Reject(reject)),
+            (None, None) => unreachable!("the EOF column only ever accepts or errors"),
         }
-        match self
-            .machine
-            .feed(&self.core.table, Some(&self.core.cert), None)
-        {
-            Step::Accepted(tree) => Ok(LrOutcome::Accept(tree)),
-            Step::Rejected { state } => Ok(LrOutcome::Reject(crate::driver::LrReject {
-                at: self.pushed,
-                state,
-                expected: self.core.table.expected_in(&self.core.cfg, state),
-            })),
-            Step::Faulted(cause) => Err(CertifyError { cause }),
-            Step::Shifted => unreachable!("the EOF column never shifts"),
+    }
+
+    /// [`LrSink::finish`], then — when the sink ran blind — the
+    /// whole-tree `validate` of an accepted tape against the pushed
+    /// input `w`: the pre-incremental contract.
+    fn finish_against(self, w: &GString) -> Result<LrOutcome, CertifyError> {
+        let (core, certified) = (self.core.clone(), self.certify);
+        let out = self.finish()?;
+        if let (false, LrOutcome::Accept(tape)) = (certified, &out) {
+            validate(&tape.to_tree(), &core.grammar, w).map_err(|cause| CertifyError { cause })?;
         }
+        Ok(out)
     }
 }
 
-/// A push-mode incremental LR parse: one shift (plus any pending
-/// reductions) per [`LrStream::push`], O(1) amortized over the input via
-/// the dense tables.
+/// A push-mode incremental LR parse: an [`LrSink`] plus the input it
+/// consumed, one shift (plus any pending reductions) per
+/// [`LrStream::push`], O(1) amortized over the input via the dense
+/// tables.
 ///
 /// The partial parse trees of the viable prefix live on the stream's
 /// stack, each already certified against its claimed grammar, so
@@ -372,18 +394,12 @@ impl LrSink {
 /// *remaining* reductions, not the whole input. Acceptance probes
 /// ([`LrStream::would_accept`]) simulate the end-of-input reductions
 /// over a scratch copy of the state stack without disturbing the parse.
+/// The retained input is what snapshots carry and what the
+/// `full_validate` path re-validates against.
 #[derive(Debug, Clone)]
 pub struct LrStream {
-    core: Arc<LrCore>,
-    machine: Machine,
+    sink: LrSink,
     input: GString,
-    /// Set at the first rejected symbol; later pushes are ignored.
-    dead: Option<crate::driver::LrReject>,
-    /// Set at the first certification fault; later pushes are ignored.
-    fault: Option<CertifyError>,
-    /// `true` runs the pre-incremental path: no per-step checks, one
-    /// whole-tree `validate` at `finish`.
-    full_validate: bool,
 }
 
 impl LrStream {
@@ -391,33 +407,8 @@ impl LrStream {
     /// has stopped being a viable prefix (the stream stays usable; it
     /// just remembers the rejection for [`LrStream::finish`]).
     pub fn push(&mut self, sym: Symbol) -> bool {
-        if self.dead.is_some() || self.fault.is_some() {
-            self.input.push(sym);
-            return false;
-        }
-        let cert = (!self.full_validate).then_some(&self.core.cert);
-        let step = self.machine.feed(&self.core.table, cert, Some(sym));
-        match step {
-            Step::Shifted => {
-                self.input.push(sym);
-                true
-            }
-            Step::Rejected { state } => {
-                self.dead = Some(crate::driver::LrReject {
-                    at: self.input.len(),
-                    state,
-                    expected: self.core.table.expected_in(&self.core.cfg, state),
-                });
-                self.input.push(sym);
-                false
-            }
-            Step::Faulted(cause) => {
-                self.fault = Some(CertifyError { cause });
-                self.input.push(sym);
-                false
-            }
-            Step::Accepted(_) => unreachable!("accept lives in the EOF column only"),
-        }
+        self.input.push(sym);
+        self.sink.push(sym)
     }
 
     /// Consumes a whole string.
@@ -445,26 +436,26 @@ impl LrStream {
     /// Number of partial parse trees currently on the stack (a measure
     /// of how much structure is still open).
     pub fn pending(&self) -> usize {
-        self.machine.depth()
+        self.sink.machine.depth()
     }
 
     /// `true` while the consumed input is still a viable prefix of some
     /// sentence (and no certification fault has been recorded).
     pub fn is_viable(&self) -> bool {
-        self.dead.is_none() && self.fault.is_none()
+        self.sink.is_viable()
     }
 
     /// The first certification fault, if the incremental checker caught
     /// one mid-stream. `None` for honest drivers.
     pub fn fault(&self) -> Option<&CertifyError> {
-        self.fault.as_ref()
+        self.sink.fault.as_ref()
     }
 
     /// Whether the input so far would be accepted if the stream ended
     /// here — an end-of-input simulation over a scratch state stack,
     /// without building trees or disturbing the parse.
     pub fn would_accept(&self) -> bool {
-        self.is_viable() && would_accept_states(&self.core.table, self.machine.states())
+        self.is_viable() && would_accept_states(&self.sink.core.table, self.sink.machine.states())
     }
 
     /// Like [`LrStream::would_accept`], but as if the terminals in
@@ -490,7 +481,7 @@ impl LrStream {
             return (false, 0);
         }
         let extra: Vec<Symbol> = extra.into_iter().collect();
-        would_accept_after_states(&self.core.table, self.machine.states(), &extra)
+        would_accept_after_states(&self.sink.core.table, self.sink.machine.states(), &extra)
     }
 
     /// Installs a fault injection on the underlying machine (test-only;
@@ -498,14 +489,14 @@ impl LrStream {
     /// incremental checker catches a corrupted step *at that step*.
     #[doc(hidden)]
     pub fn sabotage(&mut self, s: SabotageLr) {
-        self.machine.set_sabotage(s);
+        self.sink.machine.set_sabotage(s);
     }
 
     /// `(shifts, reduces)` the machine has performed so far — the step
     /// counters [`SabotageLr`] indices refer to (test-only).
     #[doc(hidden)]
     pub fn step_counts(&self) -> (usize, usize) {
-        self.machine.step_counts()
+        self.sink.machine.step_counts()
     }
 
     /// Ends the stream: runs the remaining reductions. On the
@@ -517,30 +508,8 @@ impl LrStream {
     ///
     /// [`CertifyError`] under the same (driver-bug) conditions as
     /// [`CertifiedLrParser::parse`].
-    pub fn finish(mut self) -> Result<LrOutcome, CertifyError> {
-        if let Some(fault) = self.fault {
-            return Err(fault);
-        }
-        if let Some(reject) = self.dead {
-            return Ok(LrOutcome::Reject(reject));
-        }
-        let cert = (!self.full_validate).then_some(&self.core.cert);
-        match self.machine.feed(&self.core.table, cert, None) {
-            Step::Accepted(tree) => {
-                if self.full_validate {
-                    validate(&tree.to_tree(), &self.core.grammar, &self.input)
-                        .map_err(|cause| CertifyError { cause })?;
-                }
-                Ok(LrOutcome::Accept(tree))
-            }
-            Step::Rejected { state } => Ok(LrOutcome::Reject(crate::driver::LrReject {
-                at: self.input.len(),
-                state,
-                expected: self.core.table.expected_in(&self.core.cfg, state),
-            })),
-            Step::Faulted(cause) => Err(CertifyError { cause }),
-            Step::Shifted => unreachable!("the EOF column never shifts"),
-        }
+    pub fn finish(self) -> Result<LrOutcome, CertifyError> {
+        self.sink.finish_against(&self.input)
     }
 }
 
@@ -604,23 +573,25 @@ impl LrStream {
     /// for `full_validate` streams (they carry no claim stack to
     /// re-establish on resume).
     pub fn export_state(&self) -> Option<LrStreamState> {
-        if self.fault.is_some() || self.full_validate {
+        let sink = &self.sink;
+        if sink.fault.is_some() || !sink.certify {
             return None;
         }
-        let claims: Option<Vec<ClaimRef>> = self
+        let claims: Option<Vec<ClaimRef>> = sink
             .machine
             .claims()
             .iter()
-            .map(|&id| self.core.cert.claim_ref(id))
+            .map(|&id| sink.core.cert.claim_ref(id))
             .collect();
+        let (shifts, reduces) = sink.machine.step_counts();
         Some(LrStreamState {
-            states: self.machine.states().to_vec(),
-            trees: self.machine.trees(),
+            states: sink.machine.states().to_vec(),
+            trees: sink.machine.trees(),
             claims: claims?,
-            shifts: self.machine.step_counts().0,
-            reduces: self.machine.step_counts().1,
+            shifts,
+            reduces,
             input: self.input.clone(),
-            dead: self.dead.as_ref().map(|r| (r.at, r.state)),
+            dead: sink.dead.as_ref().map(|r| (r.at, r.state)),
         })
     }
 }
@@ -767,12 +738,17 @@ impl CertifiedLrParser {
             )));
         }
         Ok(LrStream {
-            core: self.core.clone(),
-            machine: Machine::from_parts(st.states, &st.trees, claim_ids, st.shifts, st.reduces),
+            sink: LrSink {
+                core: self.core.clone(),
+                machine: Machine::from_parts(
+                    st.states, &st.trees, claim_ids, st.shifts, st.reduces,
+                ),
+                certify: true,
+                pushed: st.input.len(),
+                dead,
+                fault: None,
+            },
             input: st.input,
-            dead,
-            fault: None,
-            full_validate: false,
         })
     }
 }

@@ -1,17 +1,20 @@
-//! The table-driven shift-reduce driver and its push-mode stream form.
+//! The table-driven shift-reduce machine and its read-only probes.
 //!
-//! Both drivers run the same loop: look up
-//! `ACTION[state, lookahead]` in the dense table, shift or reduce, and
-//! stop on accept or error. [`recognize_states`] keeps only the state
-//! stack (the allocation-light path behind `accepts` and
-//! [`LrStream::would_accept`]); the parsing drivers additionally write
-//! the derivation onto one [`ParseTape`]. The stack's partial trees sit
-//! on the tape side by side in postorder, so a shift appends one leaf
-//! record and a reduction appends its node's records (the right-nested
-//! pairs, the injection, the roll — [`Cfg::derivation`]'s shape) right
-//! after its children, which are already contiguous at the tape's end.
-//! Nothing is boxed, popped or moved, and the accepted tape decodes to
-//! exactly the μ-regular parse tree the rest of the workspace consumes.
+//! Every driver runs the same loop: look up `ACTION[state, lookahead]`
+//! in the dense table, shift or reduce, and stop on accept or error.
+//! [`recognize_states`] keeps only the state stack (the
+//! allocation-light path behind `recognizes`); the acceptance probes
+//! ([`would_accept_after_states`]) simulate over a scratch overlay of
+//! it. [`Machine`] additionally writes the derivation onto one
+//! [`ParseTape`], one [`Machine::feed`] per input symbol — the crate's
+//! one parsing driver, which [`crate::LrSink`] pushes into under its
+//! claims policy. The stack's partial trees sit on the tape side by
+//! side in postorder, so a shift appends one leaf record and a
+//! reduction appends its node's records (the right-nested pairs, the
+//! injection, the roll — [`Cfg::derivation`]'s shape) right after its
+//! children, which are already contiguous at the tape's end. Nothing is
+//! boxed, popped or moved, and the accepted tape decodes to exactly the
+//! μ-regular parse tree the rest of the workspace consumes.
 //!
 //! Every loop carries a *fuel* bound on reductions between shifts. A
 //! conflict-free LALR(1) table never needs it — it exists so that a
@@ -198,14 +201,6 @@ fn reduce_fuel(table: &LrTable, stack_depth: usize) -> usize {
     (stack_depth + 2) * (table.num_states() + 1) * (table.num_productions() + 1)
 }
 
-fn reject(table: &LrTable, cfg: &Cfg, at: usize, state: usize) -> LrReject {
-    LrReject {
-        at,
-        state,
-        expected: table.expected_in(cfg, state),
-    }
-}
-
 /// The ACTION column of an input symbol, or `None` when the symbol is
 /// not from this grammar's alphabet. Foreign symbols must be rejected up
 /// front: an unchecked index would alias the `$` column (or a
@@ -220,8 +215,8 @@ fn term_column(table: &LrTable, sym: Symbol) -> Option<usize> {
 
 /// Runs the recognition-only driver: state stack, no trees, and no
 /// rejection report either — callers that need positions and expected
-/// sets use [`parse_tree`]; this path answers yes/no with the state
-/// stack as its only allocation.
+/// sets parse through [`Machine`]; this path answers yes/no with the
+/// state stack as its only allocation.
 pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
     // One stack allocation for the whole run; the stack never exceeds
     // the input length + 2 (each shift or ε-reduce pushes one state).
@@ -281,8 +276,8 @@ pub(crate) fn recognize_states(table: &LrTable, w: &GString) -> bool {
 }
 
 /// One shift-reduce engine over a dense table, carrying the state stack
-/// and the derivation tape. The one-shot parser and the push-mode
-/// stream share it.
+/// and the derivation tape. [`crate::LrSink`] owns one, and every parse
+/// entrance (one-shot, stream, fused lexer feed) pushes through it.
 #[derive(Debug, Clone)]
 pub(crate) struct Machine {
     states: Vec<u32>,
@@ -322,10 +317,6 @@ pub(crate) enum Step {
 }
 
 impl Machine {
-    pub(crate) fn new() -> Machine {
-        Machine::with_capacity(0)
-    }
-
     /// A machine with its stacks and tape pre-sized for an input of `n`
     /// symbols.
     pub(crate) fn with_capacity(n: usize) -> Machine {
@@ -627,29 +618,6 @@ impl Machine {
             }
         }
     }
-}
-
-/// Parses `w` end to end, returning the derivation tape (in
-/// [`Cfg::to_lambek`] shape) or a structured rejection. With `cert`
-/// tables the run is incrementally certified; the outer `Err` is a
-/// certification fault (never a plain rejection).
-pub(crate) fn parse_tape(
-    table: &LrTable,
-    cfg: &Cfg,
-    cert: Option<&CertTables>,
-    w: &GString,
-) -> Result<Result<ParseTape, LrReject>, ValidateError> {
-    let mut m = Machine::with_capacity(w.len());
-    for pos in 0..=w.len() {
-        let sym = (pos < w.len()).then(|| w[pos]);
-        match m.feed(table, cert, sym) {
-            Step::Shifted => {}
-            Step::Accepted(tree) => return Ok(Ok(tree)),
-            Step::Rejected { state } => return Ok(Err(reject(table, cfg, pos, state))),
-            Step::Faulted(cause) => return Err(cause),
-        }
-    }
-    unreachable!("the EOF column only ever accepts or errors")
 }
 
 /// Probes whether ending the input at the current configuration would

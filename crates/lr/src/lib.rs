@@ -16,15 +16,20 @@
 //!   time* with a structured [`LrConflictReport`] pointing at the
 //!   offending item sets (the same notion of "deterministic" the Earley
 //!   baseline's ambiguity reporting uses);
-//! * every tree a [`CertifiedLrParser`] emits — one-shot or via the
-//!   push-mode [`LrStream`] — is certified against the grammar's
-//!   μ-regular encoding *incrementally*: each shift and each reduction
-//!   is checked as it happens via interned grammar-id comparisons, and
-//!   the per-step checks compose to the whole-tree `validate` contract
-//!   (kept verbatim behind [`CertifiedLrParser::parse_full`] /
-//!   [`CertifiedLrParser::stream_full`] for the differential suites),
-//!   so intrinsic verification is preserved end to end at O(1) cost per
-//!   step.
+//! * every tree a [`CertifiedLrParser`] emits is certified against the
+//!   grammar's μ-regular encoding *incrementally*: each shift and each
+//!   reduction is checked as it happens via interned grammar-id
+//!   comparisons, and the per-step checks compose to the whole-tree
+//!   `validate` contract, so intrinsic verification is preserved end to
+//!   end at O(1) cost per step;
+//! * there is one push driver, [`LrSink`], parameterized by its claims
+//!   policy (certify each step, or run blind). The one-shot parses push
+//!   a whole string into it, the push-mode [`LrStream`] is a sink plus
+//!   the input it retained, and the whole-tree `validate` contract is a
+//!   blind sink finished against its input
+//!   ([`CertifiedLrParser::parse_full`] /
+//!   [`CertifiedLrParser::stream_full`], kept for the differential
+//!   suites).
 //!
 //! ```
 //! use lambek_automata::lookahead::ArithTokens;

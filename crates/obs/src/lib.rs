@@ -722,6 +722,11 @@ impl fmt::Display for Trace {
 /// [`Trace`] (appends a span) and [`NoopRecorder`] (does nothing, so
 /// the disabled path optimizes out).
 pub trait Recorder {
+    /// Whether the recorder keeps spans. Instrumented code reads it to
+    /// pick its form at compile time: staged and timed when `true`,
+    /// fused and clock-free when `false` ([`NoopRecorder`]).
+    const RECORDS: bool = true;
+
     /// Records one stage span: `start` is the offset from the trace
     /// epoch, `duration` the stage's wall time.
     fn record(&mut self, stage: Stage, start: Duration, duration: Duration);
@@ -742,6 +747,8 @@ impl Recorder for Trace {
 pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
+    const RECORDS: bool = false;
+
     #[inline]
     fn record(&mut self, _stage: Stage, _start: Duration, _duration: Duration) {}
 }

@@ -1,7 +1,8 @@
 //! Property suite for the certified LR subsystem against the Earley
 //! baseline: on randomly generated LR-compatible grammars (and on the
 //! workspace's deterministic standards), LR accept/reject agrees with
-//! `earley_recognize`, every LR tree passes the core derivation checker,
+//! `earley_recognize`, the push sink and the stream end exactly as the
+//! one-shot parse does, every LR tree passes the core derivation checker,
 //! and the two layers agree on what "deterministic" means — a grammar
 //! whose tables build conflict-free never gets an ambiguity report from
 //! Earley.
@@ -86,6 +87,20 @@ proptest! {
                     prop_assert_eq!(parser.recognizes(&w), expected, "{} on {}", seed, &w);
                     let outcome = parser.parse(&w).expect("certification never fails");
                     prop_assert_eq!(outcome.is_accept(), expected);
+                    // The push sink and the stream agree with the
+                    // one-shot parse: the same tape on accept, the same
+                    // rejection (position, state, expected set) on
+                    // reject.
+                    let mut sink = parser.sink();
+                    let mut stream = parser.stream();
+                    for sym in w.iter() {
+                        sink.push(sym);
+                        stream.push(sym);
+                    }
+                    let sunk = sink.finish().expect("certification never fails");
+                    prop_assert_eq!(&sunk, &outcome, "sink on {} over {}", seed, &w);
+                    let streamed = stream.finish().expect("certification never fails");
+                    prop_assert_eq!(&streamed, &outcome, "stream on {} over {}", seed, &w);
                     if let Some(tree) = outcome.accepted() {
                         // Intrinsic: the tree validates against the
                         // μ-regular grammar and the actual input.
