@@ -12,7 +12,7 @@
 //!   the noise floor plus the always-on process-wide probe cost;
 //! * **fused** — a one-request `parse_many_str` batch: tracing swaps
 //!   the fused lex→certify→LR pass for the staged form that times
-//!   each stage (the differentially-proven-equal `parse_str_staged`),
+//!   each stage (the same certified run, its halves timed apart),
 //!   the headline ≤ 3% acceptance row at 1 MiB;
 //! * **parse_many** — a pooled batch of ~1 KiB requests over four
 //!   workers: per-request traces, queue spans and counter updates all

@@ -304,19 +304,36 @@ impl LrSink {
     /// remembers the first rejection for [`LrSink::finish`]).
     #[inline]
     pub fn push(&mut self, sym: Symbol) -> bool {
-        if self.is_viable() {
-            self.feed(Some(sym));
-        }
+        let shifted = self.is_viable()
+            && match self.feed(Some(sym)) {
+                Step::Shifted => true,
+                step => {
+                    self.settle(step);
+                    false
+                }
+            };
         self.pushed += 1;
-        self.is_viable()
+        shifted
     }
 
     /// Feeds the machine one symbol (`None` = end of input) under the
-    /// sink's claims policy, recording a rejection or fault; returns
-    /// the tape on accept.
-    fn feed(&mut self, sym: Option<Symbol>) -> Option<ParseTape> {
-        let cert = self.certify.then_some(&self.core.cert);
-        match self.machine.feed(&self.core.table, cert, sym) {
+    /// sink's claims policy.
+    #[inline]
+    fn feed(&mut self, sym: Option<Symbol>) -> Step {
+        // One call per policy, so each is compiled with its claims
+        // tables known.
+        if self.certify {
+            self.machine
+                .feed(&self.core.table, Some(&self.core.cert), sym)
+        } else {
+            self.machine.feed(&self.core.table, None, sym)
+        }
+    }
+
+    /// Records a step that ended the parse — a rejection or a fault —
+    /// and returns the tape of an accept.
+    fn settle(&mut self, step: Step) -> Option<ParseTape> {
+        match step {
             Step::Shifted => None,
             Step::Accepted(tape) => Some(tape),
             Step::Rejected { state } => {
@@ -356,7 +373,8 @@ impl LrSink {
     /// [`CertifiedLrParser::parse`].
     pub fn finish(mut self) -> Result<LrOutcome, CertifyError> {
         let tape = if self.is_viable() {
-            self.feed(None)
+            let step = self.feed(None);
+            self.settle(step)
         } else {
             None
         };
