@@ -1,11 +1,11 @@
 //! Property suite for the certified LR subsystem against the Earley
 //! baseline: on randomly generated LR-compatible grammars (and on the
 //! workspace's deterministic standards), LR accept/reject agrees with
-//! `earley_recognize`, the push sink and the stream end exactly as the
-//! one-shot parse does, every LR tree passes the core derivation checker,
-//! and the two layers agree on what "deterministic" means — a grammar
-//! whose tables build conflict-free never gets an ambiguity report from
-//! Earley.
+//! `earley_recognize`, the push sink and the stream (also parked and
+//! resumed halfway) end exactly as the one-shot parse does, every LR
+//! tree passes the core derivation checker, and the two layers agree on
+//! what "deterministic" means — a grammar whose tables build
+//! conflict-free never gets an ambiguity report from Earley.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,6 +101,19 @@ proptest! {
                     prop_assert_eq!(&sunk, &outcome, "sink on {} over {}", seed, &w);
                     let streamed = stream.finish().expect("certification never fails");
                     prop_assert_eq!(&streamed, &outcome, "stream on {} over {}", seed, &w);
+                    // So does a stream parked halfway and resumed.
+                    let cut = w.len() / 2;
+                    let mut parked = parser.stream();
+                    for sym in w.iter().take(cut) {
+                        parked.push(sym);
+                    }
+                    let state = parked.export_state().expect("unfaulted streams park");
+                    let mut resumed = parser.resume_stream(state).expect("honest state resumes");
+                    for sym in w.iter().skip(cut) {
+                        resumed.push(sym);
+                    }
+                    let resumed = resumed.finish().expect("certification never fails");
+                    prop_assert_eq!(&resumed, &outcome, "resumed stream on {} over {}", seed, &w);
                     if let Some(tree) = outcome.accepted() {
                         // Intrinsic: the tree validates against the
                         // μ-regular grammar and the actual input.
